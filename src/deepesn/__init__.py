@@ -40,7 +40,6 @@ from .reservoir import (
     build_reservoir,
     layer_sizes,
     run,
-    run_from_state,
 )
 from .readout import (
     DEFAULT_RCOND,
@@ -54,14 +53,12 @@ from .datasets import (
     Dataset,
     DivergenceError,
     MGParams,
-    SplitData,
     generate_mackey_glass,
     generate_narma10,
     load_laser,
     mackey_glass_raw,
     narma10_targets,
     save_series,
-    split,
 )
 from .experiment import (
     FULL_BUDGET,
@@ -76,7 +73,6 @@ from .experiment import (
     format_report,
     load_trial_log,
     run_benchmark_suite,
-    run_search,
     sample_config,
     select_best,
     trial_log_table,
@@ -92,17 +88,16 @@ __all__ = [
     "operator_norm", "random_stream", "topology_name", "parse_topology",
     # reservoir
     "ReservoirSpec", "DeepReservoir", "LayerWeights", "StateTrajectory",
-    "layer_sizes", "build_reservoir", "run", "run_from_state", "INTERLAYER_FAN_IN",
+    "layer_sizes", "build_reservoir", "run", "INTERLAYER_FAN_IN",
     # readout
     "ReadoutWeights", "RegressionProblem", "train_pseudo_inverse", "predict",
     "mse", "DEFAULT_RCOND",
     # datasets
-    "Dataset", "MGParams", "SplitData", "DivergenceError", "generate_narma10",
+    "Dataset", "MGParams", "DivergenceError", "generate_narma10",
     "narma10_targets", "generate_mackey_glass", "mackey_glass_raw", "load_laser",
-    "split", "save_series",
+    "save_series",
     # experiment
     "SearchSpace", "TrialResult", "SearchResult", "BenchmarkEntry",
     "ExperimentReport", "FULL_BUDGET", "REDUCED_BUDGET", "sample_config",
-    "derive_seed", "evaluate_trial", "select_best", "run_search",
-    "run_benchmark_suite", "format_report", "trial_log_table", "load_trial_log",
+    "derive_seed", "evaluate_trial", "select_best", "run_benchmark_suite", "format_report", "trial_log_table", "load_trial_log",
 ]

@@ -10,7 +10,7 @@ loaded from a user-supplied text file (one intensity per line).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,44 +72,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return int(self.inputs.shape[0])
-
-
-@dataclass(frozen=True)
-class SplitData:
-    """The three split views of a dataset, plus their index ranges."""
-
-    fit_range: tuple[int, int]
-    validation_range: tuple[int, int]
-    test_range: tuple[int, int]
-    fit_inputs: np.ndarray = field(repr=False)
-    fit_targets: np.ndarray = field(repr=False)
-    validation_inputs: np.ndarray = field(repr=False)
-    validation_targets: np.ndarray = field(repr=False)
-    test_inputs: np.ndarray = field(repr=False)
-    test_targets: np.ndarray = field(repr=False)
-
-
-def split(dataset: Dataset) -> SplitData:
-    """Cut a dataset into fit, validation and test views.
-
-    The fit range is the training split minus its validation tail; washout
-    handling is left to the caller because states are computed over one
-    continuous run of the whole series.
-    """
-    fit_end = dataset.train_len - dataset.validation_len
-    train_end = dataset.train_len
-    total = len(dataset)
-    return SplitData(
-        fit_range=(0, fit_end),
-        validation_range=(fit_end, train_end),
-        test_range=(train_end, total),
-        fit_inputs=dataset.inputs[:fit_end],
-        fit_targets=dataset.targets[:fit_end],
-        validation_inputs=dataset.inputs[fit_end:train_end],
-        validation_targets=dataset.targets[fit_end:train_end],
-        test_inputs=dataset.inputs[train_end:],
-        test_targets=dataset.targets[train_end:],
-    )
 
 
 def narma10_targets(inputs) -> np.ndarray:

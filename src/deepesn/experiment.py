@@ -8,8 +8,8 @@ network guesses, selects the best configuration by validation MSE only,
 and reports that configuration's test MSE.
 
 Everything is keyed by a master seed and the trial's structural identity,
-never by execution order, so reruns and parallel runs produce identical
-reports.
+never by execution order, so reruns and parallel runs at the same BLAS
+thread count produce identical reports.
 """
 
 from __future__ import annotations
@@ -316,14 +316,20 @@ def _run_job(job: _Job):
         return trial, failure
 
 
-def _limit_worker_blas():
-    # one BLAS thread per worker process; results are unchanged, contention is not
+def _threadpool_limits():
+    """threadpoolctl's ``threadpool_limits``, or None where the package is not installed."""
     try:
         from threadpoolctl import threadpool_limits
+    except ImportError:
+        return None
+    return threadpool_limits
 
-        threadpool_limits(1)
-    except Exception:
-        pass
+
+def _limit_worker_blas():
+    # one BLAS thread per worker process; results are unchanged, contention is not
+    limits = _threadpool_limits()
+    if limits is not None:
+        limits(1)
 
 
 def _execute_jobs(tasks, jobs, settings, workers: int, progress: bool = False):
@@ -343,6 +349,14 @@ def _execute_jobs(tasks, jobs, settings, workers: int, progress: bool = False):
     try:
         if workers <= 1 or len(jobs) <= 1:
             return _collect(_run_job(job) for job in jobs)
+        if _threadpool_limits() is None:
+            print(
+                "warning: threadpoolctl is not installed, so the BLAS threads of the worker "
+                "processes are not pinned; without a limit in the environment (such as "
+                "OPENBLAS_NUM_THREADS=1) they may oversubscribe the cores",
+                file=sys.stderr,
+                flush=True,
+            )
         chunk = max(1, len(jobs) // (workers * 8))
         # fork start method: workers inherit the task table set above
         context = multiprocessing.get_context("fork")
@@ -365,40 +379,6 @@ def _plan_search(task: Dataset, task_index: int, topology: TopologyKind, group: 
     return jobs
 
 
-def run_search(
-    task: Dataset,
-    topology: TopologyKind,
-    space: SearchSpace,
-    master_seed: int,
-    *,
-    group: str = DEEP_GROUP,
-    total_units: int = 500,
-    interlayer_fan_in: int = INTERLAYER_FAN_IN,
-    rcond: float = readout.DEFAULT_RCOND,
-    workers: int = 1,
-    progress: bool = False,
-) -> SearchResult:
-    """Random search over one (task, topology) pair; selection by validation MSE."""
-    jobs = _plan_search(task, 0, topology, group, space, master_seed)
-    settings = {
-        "guesses": space.guesses,
-        "master_seed": master_seed,
-        "total_units": total_units,
-        "interlayer_fan_in": interlayer_fan_in,
-        "rcond": rcond,
-    }
-    outcomes = _execute_jobs([task], jobs, settings, workers, progress=progress)
-    trials = tuple(trial for trial, _ in outcomes)
-    return SearchResult(
-        task=task.name,
-        topology=topology_name(topology),
-        group=group,
-        layer_counts=tuple(space.layer_counts),
-        trials=trials,
-        selected=select_best(trials),
-    )
-
-
 def run_benchmark_suite(
     tasks,
     topologies,
@@ -410,15 +390,9 @@ def run_benchmark_suite(
     interlayer_fan_in: int = INTERLAYER_FAN_IN,
     rcond: float = readout.DEFAULT_RCOND,
     metadata: dict | None = None,
-    shuffle_for_testing: bool = False,
     progress: bool = False,
 ) -> ExperimentReport:
-    """Cross product of tasks and topologies, each with a shallow and a deep search.
-
-    ``shuffle_for_testing`` permutes the execution order of the planned
-    trials (results are re-sorted afterwards); the report must not change,
-    which the test suite asserts.
-    """
+    """Cross product of tasks and topologies, each with a shallow and a deep search."""
     tasks = list(tasks)
     topologies = [parse_topology(t) if isinstance(t, str) else t for t in topologies]
     shallow_space = replace(space, layer_counts=(1,))
@@ -429,9 +403,6 @@ def run_benchmark_suite(
             plan.extend(_plan_search(task, task_index, topology, SHALLOW_GROUP, shallow_space, master_seed))
             plan.extend(_plan_search(task, task_index, topology, DEEP_GROUP, space, master_seed))
 
-    order = np.arange(len(plan))
-    if shuffle_for_testing:
-        order = np.random.default_rng(12345).permutation(len(plan))
     settings = {
         "guesses": space.guesses,
         "master_seed": master_seed,
@@ -439,10 +410,7 @@ def run_benchmark_suite(
         "interlayer_fan_in": interlayer_fan_in,
         "rcond": rcond,
     }
-    outcomes_shuffled = _execute_jobs(tasks, [plan[i] for i in order], settings, workers, progress=progress)
-    outcomes = [None] * len(plan)
-    for position, original in enumerate(order):
-        outcomes[original] = outcomes_shuffled[position]
+    outcomes = _execute_jobs(tasks, plan, settings, workers, progress=progress)
 
     failures = [failure for _, failure in outcomes if failure is not None]
     entries = []

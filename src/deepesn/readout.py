@@ -48,22 +48,12 @@ class ReadoutWeights:
         return int(self.matrix.shape[1])
 
 
-def train_pseudo_inverse(problem: RegressionProblem, rcond: float = DEFAULT_RCOND, ridge: float = 0.0) -> ReadoutWeights:
+def train_pseudo_inverse(problem: RegressionProblem, rcond: float = DEFAULT_RCOND) -> ReadoutWeights:
     """Minimum-norm least-squares readout via SVD pseudo-inversion.
 
     Singular values below ``rcond`` times the largest are treated as zero.
-    ``ridge`` switches to a Tikhonov-regularised solve instead; it defaults
-    to off and exists only as an escape hatch for pathological problems.
     """
-    s, y = problem.states, problem.targets
-    if ridge < 0.0 or not np.isfinite(ridge):
-        raise ValueError(f"ridge must be non-negative and finite, got {ridge!r}")
-    if ridge > 0.0:
-        gram = s.T @ s
-        gram[np.diag_indices_from(gram)] += ridge
-        coeffs = np.linalg.solve(gram, s.T @ y)
-    else:
-        coeffs, _, _, _ = np.linalg.lstsq(s, y, rcond=rcond)
+    coeffs, _, _, _ = np.linalg.lstsq(problem.states, problem.targets, rcond=rcond)
     return ReadoutWeights(matrix=np.ascontiguousarray(coeffs.T))
 
 

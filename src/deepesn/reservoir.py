@@ -7,7 +7,8 @@ concatenation of all layer states, so :func:`run` returns the full
 trajectory of that global state.
 
 State updates, with ``u(t)`` the input and ``x_l(t)`` the state of layer
-``l`` (zero at step 0, no bias terms):
+``l`` (zero at step 0 unless :func:`run` is given an initial state, no
+bias terms):
 
     x_1(t) = tanh(W_in u(t)  + R_1 x_1(t-1))
     x_l(t) = tanh(V_l x_{l-1}(t) + R_l x_l(t-1))      for l > 1
@@ -181,16 +182,11 @@ def build_reservoir(spec: ReservoirSpec) -> DeepReservoir:
     return DeepReservoir(input_weights=input_weights, layers=tuple(layers), layer_sizes=sizes)
 
 
-def run(reservoir: DeepReservoir, inputs: Sequence) -> StateTrajectory:
-    """Drive the reservoir from the null state and collect the global states."""
-    return run_from_state(reservoir, inputs, np.zeros(reservoir.total_units))
+def run(reservoir: DeepReservoir, inputs: Sequence, initial_state: Optional[np.ndarray] = None) -> StateTrajectory:
+    """Drive the reservoir over ``inputs`` and collect the global states.
 
-
-def run_from_state(reservoir: DeepReservoir, inputs: Sequence, initial_state: np.ndarray) -> StateTrajectory:
-    """Like :func:`run` but starting from a caller-supplied concatenated state.
-
-    Exists so stability properties (state contraction from perturbed initial
-    conditions) can be exercised directly; normal use starts from zero.
+    The run starts from the null state unless ``initial_state``, a
+    concatenated state of length ``total_units``, is given.
     """
     u = np.asarray(inputs, dtype=float)
     if u.ndim == 1:
@@ -199,7 +195,7 @@ def run_from_state(reservoir: DeepReservoir, inputs: Sequence, initial_state: np
         raise ValueError(f"inputs must be (steps, {reservoir.input_dim}), got shape {u.shape}")
     if not np.all(np.isfinite(u)):
         raise ValueError("inputs must be finite")
-    state0 = np.asarray(initial_state, dtype=float)
+    state0 = np.zeros(reservoir.total_units) if initial_state is None else np.asarray(initial_state, dtype=float)
     if state0.shape != (reservoir.total_units,):
         raise ValueError(f"initial state must have length {reservoir.total_units}, got {state0.shape}")
 

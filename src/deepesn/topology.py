@@ -8,9 +8,8 @@ random stream; ring and chain are fully deterministic.
 
 Sparse recurrent matrices are rescaled to a target spectral radius; input
 and inter-layer matrices are rescaled to a target matrix 2-norm.  Both
-measurements start with power iteration and fall back to a dense
-eigensolver when the iteration does not settle (complex dominant pairs,
-near-degenerate spectra).
+measurements are exact dense LAPACK computations: the radius from the full
+eigenvalue spectrum, the norm from the largest singular value.
 """
 
 from __future__ import annotations
@@ -20,8 +19,6 @@ from typing import Union
 
 import numpy as np
 
-_MEASURE_TOL = 1e-10
-_MEASURE_MAX_ITER = 10_000
 _DEGENERATE_FLOOR = 1e-12
 _MAX_DRAW_ATTEMPTS = 10
 
@@ -213,40 +210,16 @@ def make_interlayer_matrix(n_to: int, n_from: int, fan_in: int, omega_il: float,
 
 
 def spectral_radius(m: np.ndarray) -> float:
-    """Largest eigenvalue modulus of a square matrix.
-
-    Power iteration handles the common case of a simple real dominant
-    eigenvalue and recognises scaled isometries (permutations, rings) by
-    their exactly flat norm ratio.  Anything else, notably complex dominant
-    pairs, is handed to the dense eigensolver.
-    """
+    """Largest eigenvalue modulus of a square matrix, from its full dense spectrum."""
     m = _as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"spectral radius needs a square matrix, got {m.shape}")
-    if m.shape[0] == 1:
-        return float(abs(m[0, 0]))
-    estimate = _power_radius(m)
-    if estimate is None:
-        estimate = float(np.max(np.abs(np.linalg.eigvals(m))))
-    return estimate
+    return float(np.max(np.abs(np.linalg.eigvals(m))))
 
 
 def operator_norm(m: np.ndarray) -> float:
-    """Largest singular value, via power iteration on the Gram matrix.
-
-    The Gram matrix is symmetric positive semi-definite, so the Rayleigh
-    quotient residual gives a direct error bound; the rare stalled case
-    falls back to a dense symmetric eigensolver.
-    """
-    m = _as_matrix(m)
-    if min(m.shape) == 1:
-        return float(np.linalg.norm(m.ravel()))
-    gram = m.T @ m if m.shape[0] >= m.shape[1] else m @ m.T
-    gram = (gram + gram.T) * 0.5
-    top = _power_psd_eigmax(gram)
-    if top is None:
-        top = float(np.linalg.eigvalsh(gram)[-1])
-    return float(np.sqrt(max(top, 0.0)))
+    """Largest singular value (the matrix 2-norm), from a dense SVD."""
+    return float(np.linalg.norm(_as_matrix(m), 2))
 
 
 def _as_matrix(m) -> np.ndarray:
@@ -261,67 +234,3 @@ def _as_matrix(m) -> np.ndarray:
 def _require_positive(label: str, value: float) -> None:
     if not np.isfinite(value) or value <= 0.0:
         raise ValueError(f"{label} must be positive and finite, got {value!r}")
-
-
-def _power_radius(m: np.ndarray, max_iter: int = _MEASURE_MAX_ITER, tol: float = _MEASURE_TOL):
-    """Power-iteration spectral radius, or None when the iteration stalls."""
-    n = m.shape[0]
-    rng = np.random.default_rng(0x9E3779B9)  # fixed start keeps the function deterministic
-    x = rng.standard_normal(n)
-    x /= np.linalg.norm(x)
-
-    # Phase 1: a scaled isometry keeps ||m @ x|| / ||x|| exactly constant from
-    # the very first step, while a generic matrix is still far from converged
-    # here; a flat opening window is therefore safe to return directly.
-    opening = []
-    for _ in range(20):
-        y = m @ x
-        r = float(np.linalg.norm(y))
-        if r == 0.0:
-            return 0.0  # orbit annihilated: nilpotent to machine precision
-        opening.append(r)
-        x = y / r
-    scale = max(1.0, opening[-1])
-    if max(opening) - min(opening) <= 1e-12 * scale:
-        return opening[-1]
-
-    prev = opening[-1]
-    changes = []
-    for k in range(max_iter):
-        y = m @ x
-        r = float(np.linalg.norm(y))
-        if r == 0.0:
-            return 0.0
-        scale = max(1.0, r)
-        if abs(r - prev) <= tol * scale:
-            # confirm a genuine real dominant eigenpair before accepting
-            if min(np.linalg.norm(y - r * x), np.linalg.norm(y + r * x)) <= tol * scale:
-                return r
-        changes.append(abs(r - prev))
-        if k == 300:
-            early = np.mean(changes[100:200])
-            late = np.mean(changes[200:300])
-            if late > 0.3 * max(early, 1e-300):
-                return None  # oscillating estimate: complex dominant pair, go dense
-        prev = r
-        x = y / r
-    return None
-
-
-def _power_psd_eigmax(b: np.ndarray, max_iter: int = _MEASURE_MAX_ITER, tol: float = _MEASURE_TOL):
-    """Dominant eigenvalue of a symmetric PSD matrix, or None on stall."""
-    n = b.shape[0]
-    rng = np.random.default_rng(0x51F15EED)
-    x = rng.standard_normal(n)
-    x /= np.linalg.norm(x)
-    for k in range(max_iter):
-        y = b @ x
-        lam = float(x @ y)
-        norm_y = float(np.linalg.norm(y))
-        if norm_y == 0.0:
-            return 0.0
-        # symmetric matrix: |lam - eigenvalue| is bounded by the residual norm
-        if k >= 5 and np.linalg.norm(y - lam * x) <= tol * max(lam, 1e-300):
-            return lam
-        x = y / norm_y
-    return None

@@ -19,6 +19,8 @@ def pytest_runtest_logreport(report):
     if report.when == "call":
         if hasattr(report, "wasxfail") and report.skipped:
             _outcomes[name] = "FAIL (expected, see notes)"
+        elif report.skipped:  # pytest.skip raised inside the test body
+            _outcomes[name] = "SKIPPED"
         else:
             _outcomes[name] = "PASS" if report.passed else "FAIL"
     elif report.when == "setup" and report.skipped:

@@ -75,7 +75,7 @@ def test_c02_permutation_contraction_factor():
     inputs = d.generate_narma10(400, 1, train_len=200, washout=10, validation_len=50).inputs
     start = np.clip(np.random.default_rng(0).uniform(-0.8, 0.8, 167), -0.8, 0.8)
     a = d.run(res, inputs).states
-    b = d.run_from_state(res, inputs, start).states
+    b = d.run(res, inputs, initial_state=start).states
     previous = float(np.linalg.norm(start))
     for gap in np.linalg.norm(a - b, axis=1):
         if previous < 1e-4:
@@ -164,11 +164,13 @@ def _ci_suite(**kwargs):
 
 
 def test_c06_reduced_benchmark_rerun_and_parallel_shuffle_identical():
+    # the pool spreads the trials over its workers; that the executor's outcomes
+    # do not depend on the order it runs the plan in is checked in test_experiment.py
     first = d.trial_log_table(_ci_suite())
     rerun = d.trial_log_table(_ci_suite())
-    shuffled = d.trial_log_table(_ci_suite(workers=2, shuffle_for_testing=True))
+    parallel = d.trial_log_table(_ci_suite(workers=2))
     assert first == rerun
-    assert first == shuffled
+    assert first == parallel
 
 
 # --- criterion 7: shallow pipeline is the deep pipeline at L = 1 ------------

@@ -1,10 +1,15 @@
 """Command-line surface: generate, eval, benchmark."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import deepesn
 from deepesn import save_series
 from deepesn.cli import LASER_PATH_ENV, main
 
@@ -170,3 +175,15 @@ class TestBenchmark:
         )
         assert code == 1
         assert "unknown task" in err
+
+
+def test_module_entry_point_runs_main():
+    # the package may be importable from a source tree only, so hand that path on
+    src = str(Path(deepesn.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "deepesn.cli", "--version"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == f"deepesn {deepesn.__version__}"

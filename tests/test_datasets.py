@@ -1,4 +1,4 @@
-"""Generators, the laser loader and split geometry."""
+"""Generators, the laser loader and dataset validation."""
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ from deepesn import (
     mackey_glass_raw,
     narma10_targets,
     save_series,
-    split,
 )
 
 
@@ -169,48 +168,14 @@ class TestLaserLoader:
             load_laser(tmp_path / "absent.txt")
 
 
-class TestSplit:
-    def make(self, length, train_len=5000, washout=100, validation_len=1000):
-        values = np.linspace(0.0, 1.0, length)
-        return Dataset("toy", values, values, train_len=train_len, washout=washout,
-                       validation_len=validation_len)
-
-    def test_reference_geometry(self):
-        ds = self.make(10000)
-        parts = split(ds)
-        assert parts.fit_range == (0, 4000)
-        assert parts.validation_range == (4000, 5000)
-        assert parts.test_range == (5000, 10000)
-        assert np.array_equal(parts.fit_inputs, ds.inputs[:4000])
-        assert np.array_equal(parts.validation_targets, ds.targets[4000:5000])
-        assert np.array_equal(parts.test_inputs, ds.inputs[5000:])
-
-    def test_zero_validation(self):
-        ds = self.make(6000, validation_len=0)
-        parts = split(ds)
-        assert parts.fit_range == (0, 5000)
-        assert parts.validation_inputs.size == 0
-
-    def test_single_test_step(self):
-        ds = self.make(5001)
-        parts = split(ds)
-        assert parts.test_range == (5000, 5001)
-        assert parts.test_inputs.shape == (1,)
-
-    def test_ranges_disjoint_and_cover(self):
-        ds = self.make(7321, train_len=4000, washout=50, validation_len=700)
-        parts = split(ds)
-        spans = [parts.fit_range, parts.validation_range, parts.test_range]
-        assert spans[0][1] == spans[1][0] and spans[1][1] == spans[2][0]
-        assert spans[0][0] == 0 and spans[2][1] == len(ds)
-
-    def test_dataset_validation(self):
-        with pytest.raises(ValueError):
-            self.make(5000)  # too short: needs train_len + 1
-        with pytest.raises(ValueError):
-            Dataset("x", np.ones(100), np.ones(99), train_len=50)
-        with pytest.raises(ValueError):
-            Dataset("x", np.ones(100), np.full(100, np.nan), train_len=50)
-        with pytest.raises(ValueError):
-            # washout plus validation swallows the whole training split
-            Dataset("x", np.ones(100), np.ones(100), train_len=50, washout=30, validation_len=20)
+def test_dataset_validation():
+    values = np.linspace(0.0, 1.0, 5000)
+    with pytest.raises(ValueError):
+        Dataset("toy", values, values, train_len=5000)  # too short: needs train_len + 1
+    with pytest.raises(ValueError):
+        Dataset("x", np.ones(100), np.ones(99), train_len=50)
+    with pytest.raises(ValueError):
+        Dataset("x", np.ones(100), np.full(100, np.nan), train_len=50)
+    with pytest.raises(ValueError):
+        # washout plus validation swallows the whole training split
+        Dataset("x", np.ones(100), np.ones(100), train_len=50, washout=30, validation_len=20)

@@ -1,12 +1,15 @@
 """Search protocol: sampling, trial scoring, selection, determinism, logs."""
 
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from deepesn import (
+    DEFAULT_RCOND,
     Dataset,
+    Ring,
     ScalingSpec,
     SearchSpace,
     Sparse,
@@ -19,11 +22,11 @@ from deepesn import (
     mse,
     random_stream,
     run_benchmark_suite,
-    run_search,
     sample_config,
     select_best,
     trial_log_table,
 )
+from deepesn.experiment import _execute_jobs, _plan_search
 
 TINY_SPACE = SearchSpace(configs_per_layer=2, guesses=2, layer_counts=(2,))
 
@@ -162,43 +165,54 @@ class TestSelection:
         assert select_best(trials).config_index == select_best(scaled).config_index == 1
 
 
-class TestRunSearch:
-    def test_single_config_single_layer_selected(self, tiny_task):
-        space = SearchSpace(configs_per_layer=1, guesses=1, layer_counts=(1,))
-        result = run_search(tiny_task, Sparse(3), space, 4, total_units=20, group="shallow")
-        assert len(result.trials) == 1
-        assert result.selected is result.trials[0]
-
-    def test_plan_covers_budget(self, tiny_task):
-        space = SearchSpace(configs_per_layer=3, guesses=1, layer_counts=(2, 3))
-        result = run_search(tiny_task, Sparse(3), space, 4, total_units=20, interlayer_fan_in=3)
-        assert len(result.trials) == 6
-        assert {t.num_layers for t in result.trials} == {2, 3}
-        assert result.selected.validation_mse_mean == min(t.validation_mse_mean for t in result.trials)
-
-
 class TestBenchmarkSuite:
-    def suite(self, tiny_task, **kwargs):
+    def suite(self, tiny_task, space=TINY_SPACE, **kwargs):
         return run_benchmark_suite(
-            [tiny_task], ["sparse", "ring"], TINY_SPACE, 7,
+            [tiny_task], ["sparse", "ring"], space, 7,
             total_units=20, interlayer_fan_in=3, **kwargs,
         )
 
     def test_structure(self, tiny_task):
-        report = self.suite(tiny_task)
-        assert len(report.entries) == 2
-        entry = report.entry(tiny_task.name, "sparse")
-        assert entry.shallow.layer_counts == (1,)
-        assert entry.deep.layer_counts == (2,)
-        assert entry.shallow.selected is not None
-        assert not report.failures
+        single = SearchSpace(configs_per_layer=1, guesses=1, layer_counts=(1,))
+        two_depths = SearchSpace(configs_per_layer=3, guesses=1, layer_counts=(2, 3))
+        for space in (TINY_SPACE, single, two_depths):
+            report = self.suite(tiny_task, space)
+            assert len(report.entries) == 2
+            assert not report.failures
+            for entry in report.entries:
+                assert entry.shallow.layer_counts == (1,)
+                assert entry.deep.layer_counts == space.layer_counts
+                # the plan covers the budget: every config at every layer count
+                assert len(entry.shallow.trials) == space.configs_per_layer
+                assert len(entry.deep.trials) == space.configs_per_layer * len(space.layer_counts)
+                assert {t.num_layers for t in entry.deep.trials} == set(space.layer_counts)
+                for result in (entry.shallow, entry.deep):
+                    assert result.selected is not None
+                    best = min(t.validation_mse_mean for t in result.trials)
+                    assert result.selected.validation_mse_mean == best
 
     def test_rerun_and_shuffled_parallel_identical(self, tiny_task):
         base = trial_log_table(self.suite(tiny_task))
-        rerun = trial_log_table(self.suite(tiny_task))
-        shuffled = trial_log_table(self.suite(tiny_task, workers=2, shuffle_for_testing=True))
-        assert base == rerun
-        assert base == shuffled
+        assert base == trial_log_table(self.suite(tiny_task))
+        assert base == trial_log_table(self.suite(tiny_task, workers=2))
+
+        # the executor run on a shuffled plan gives the same outcome for every job
+        space = replace(TINY_SPACE, layer_counts=(1, 2))
+        plan = [job for kind in (Sparse(3), Ring()) for job in _plan_search(tiny_task, 0, kind, "deep", space, 7)]
+        settings = dict(guesses=2, master_seed=7, total_units=20, interlayer_fan_in=3, rcond=DEFAULT_RCOND)
+        in_order = _execute_jobs([tiny_task], plan, settings, workers=1)
+        order = np.random.default_rng(12345).permutation(len(plan))
+        assert not np.array_equal(order, np.arange(len(plan)))
+        shuffled = _execute_jobs([tiny_task], [plan[i] for i in order], settings, workers=2)
+        reordered = [None] * len(plan)
+        for position, original in enumerate(order):
+            reordered[original] = shuffled[position]
+        assert reordered == in_order
+
+    def test_unpinned_worker_blas_is_reported_once(self, tiny_task, capsys, monkeypatch):
+        monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # its import now raises ImportError
+        self.suite(tiny_task, replace(TINY_SPACE, guesses=1), workers=2)
+        assert capsys.readouterr().err.count("BLAS threads of the worker processes are not pinned") == 1
 
     def test_deep_with_single_layer_equals_shallow(self, tiny_task):
         report = run_benchmark_suite(

@@ -66,17 +66,6 @@ class TestTrainPseudoInverse:
         # and still fits as well
         assert mse(states @ w.matrix.T, targets) <= mse(states @ ridge_oracle.T, targets) * (1 + 1e-9) + 1e-18
 
-    def test_ridge_escape_hatch(self):
-        rng = np.random.default_rng(5)
-        states = rng.standard_normal((60, 10))
-        targets = rng.standard_normal((60, 1))
-        lam = 0.37
-        w = train_pseudo_inverse(RegressionProblem(states, targets), ridge=lam)
-        oracle = np.linalg.solve(states.T @ states + lam * np.eye(10), states.T @ targets).T
-        assert np.allclose(w.matrix, oracle, atol=1e-10)
-        with pytest.raises(ValueError):
-            train_pseudo_inverse(RegressionProblem(states, targets), ridge=-1.0)
-
     def test_problem_validation(self):
         with pytest.raises(ValueError):
             RegressionProblem(np.zeros((0, 3)), np.zeros((0, 1)))

@@ -15,7 +15,6 @@ from deepesn import (
     build_reservoir,
     layer_sizes,
     run,
-    run_from_state,
 )
 
 SCALING = ScalingSpec(rho=0.9, omega_in=0.8, omega_il=1.1)
@@ -187,17 +186,19 @@ class TestRun:
 
 
 class TestRunFromState:
+    """Runs that start from a caller-supplied initial state."""
+
     def test_zero_initial_state_matches_run(self):
         res = build_reservoir(small_spec())
         inputs = np.sin(np.arange(30) * 0.5)
         assert np.array_equal(
-            run(res, inputs).states, run_from_state(res, inputs, np.zeros(24)).states
+            run(res, inputs).states, run(res, inputs, initial_state=np.zeros(24)).states
         )
 
     def test_initial_state_length_checked(self):
         res = build_reservoir(small_spec())
         with pytest.raises(ValueError):
-            run_from_state(res, np.ones(4), np.zeros(7))
+            run(res, np.ones(4), initial_state=np.zeros(7))
 
     def test_permutation_contraction_per_step(self):
         # single layer, weight 0.9: the state gap must shrink by at least 0.9 per step
@@ -206,8 +207,8 @@ class TestRunFromState:
         inputs = np.sin(np.arange(300) * 0.17)
         rng = np.random.default_rng(3)
         start = np.clip(rng.uniform(-0.9, 0.9, size=40), -0.9, 0.9)
-        a = run_from_state(res, inputs, np.zeros(40)).states
-        b = run_from_state(res, inputs, start).states
+        a = run(res, inputs, initial_state=np.zeros(40)).states
+        b = run(res, inputs, initial_state=start).states
         gaps = np.linalg.norm(a - b, axis=1)
         previous = np.linalg.norm(start)
         for gap in gaps:
@@ -222,8 +223,8 @@ class TestRunFromState:
         inputs = np.cos(np.arange(200) * 0.4)
         start = np.zeros(40)
         start[:20] = 0.5
-        a = run_from_state(res, inputs, np.zeros(40))
-        b = run_from_state(res, inputs, start)
+        a = run(res, inputs, initial_state=np.zeros(40))
+        b = run(res, inputs, initial_state=start)
         gaps = np.linalg.norm(a.layer_states(0) - b.layer_states(0), axis=1)
         previous = np.linalg.norm(start[:20])
         for gap in gaps:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deepesn import (
     DegenerateMatrixError,
@@ -284,6 +286,32 @@ class TestSharedProperties:
     def test_distinct_columns_within_rows(self):
         m = make_interlayer_matrix(80, 90, 5, 1.0, random_stream(13))
         assert (np.count_nonzero(m, axis=1) == 5).all()
+
+
+@st.composite
+def scaling_cases(draw):
+    """Size, fan-in, and a (target, seed) pair for each of the two rescaled matrices."""
+    n = draw(st.integers(1, 300))
+    fan_in = draw(st.integers(1, min(n, 8)))
+    targets = [draw(st.floats(0.05, 2.0)) for _ in range(2)]
+    seeds = [draw(st.integers(0, 2**32 - 1)) for _ in range(2)]
+    return n, fan_in, targets, seeds
+
+
+@settings(max_examples=30, deadline=None)
+@given(scaling_cases())
+def test_rescaled_matrices_measure_back_exactly(case):
+    n, fan_in, (rho, omega_il), (seed_r, seed_il) = case
+    try:
+        m = make_sparse_recurrent(n, fan_in, rho, random_stream(seed_r))
+    except DegenerateMatrixError:
+        pass
+    else:
+        assert (np.count_nonzero(m, axis=1) == fan_in).all()
+        assert abs(eig_radius(m) - rho) <= 1e-8
+    w = make_interlayer_matrix(n, n, fan_in, omega_il, random_stream(seed_il))
+    # the norm from the Gram matrix's spectrum shares no SVD with operator_norm
+    assert abs(np.sqrt(np.linalg.eigvalsh(w.T @ w)[-1]) - omega_il) <= 1e-8
 
 
 class TestNamesAndSpecs:
