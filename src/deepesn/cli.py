@@ -189,7 +189,6 @@ def cmd_eval(args) -> int:
         args.guesses,
         args.seed,
         total_units=args.units,
-        interlayer_fan_in=args.fan_in,
     )
     lines = [
         f"task={trial.task} topology={trial.topology} layers={trial.num_layers} "
@@ -304,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--seed", type=_nonnegative_int, default=0, help="master seed for the network guesses")
     ev.add_argument("--data-seed", type=_nonnegative_int, default=1, help="seed for dataset generation")
     ev.add_argument("--units", type=_positive_int, default=500, help="total reservoir units")
-    ev.add_argument("--fan-in", type=_positive_int, default=5)
+    ev.add_argument("--fan-in", type=_positive_int, default=5, help="in-degree of sparse layers")
     ev.add_argument("--laser-path", default=None)
     ev.add_argument("--out", default=None, help="also write the result into this directory")
     add_split_flags(ev)

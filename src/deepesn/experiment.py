@@ -161,8 +161,6 @@ def evaluate_trial(
     master_seed: int,
     *,
     total_units: int = 500,
-    interlayer_fan_in: int = INTERLAYER_FAN_IN,
-    rcond: float = readout.DEFAULT_RCOND,
     config_index: int = 0,
 ) -> TrialResult:
     """Score one configuration as mean/std MSE over fresh network guesses.
@@ -196,15 +194,14 @@ def evaluate_trial(
             scaling=hyper,
             input_dim=1,
             seed=seed,
-            interlayer_fan_in=interlayer_fan_in,
         )
         states = run(build_reservoir(spec), task.inputs).states
         val_fit = readout.train_pseudo_inverse(
-            readout.RegressionProblem(states[washout:fit_end], targets[washout:fit_end]), rcond=rcond
+            readout.RegressionProblem(states[washout:fit_end], targets[washout:fit_end])
         )
         val_mses.append(readout.mse(states[fit_end:train_end] @ val_fit.matrix.T, targets[fit_end:train_end]))
         test_fit = readout.train_pseudo_inverse(
-            readout.RegressionProblem(states[washout:train_end], targets[washout:train_end]), rcond=rcond
+            readout.RegressionProblem(states[washout:train_end], targets[washout:train_end])
         )
         test_mses.append(readout.mse(states[train_end:] @ test_fit.matrix.T, targets[train_end:]))
     return TrialResult.from_guesses(
@@ -292,8 +289,6 @@ def _run_job(job: _Job):
             settings["guesses"],
             settings["master_seed"],
             total_units=settings["total_units"],
-            interlayer_fan_in=settings["interlayer_fan_in"],
-            rcond=settings["rcond"],
             config_index=job.config_index,
         )
         return trial, None
@@ -387,8 +382,6 @@ def run_benchmark_suite(
     *,
     workers: int = 1,
     total_units: int = 500,
-    interlayer_fan_in: int = INTERLAYER_FAN_IN,
-    rcond: float = readout.DEFAULT_RCOND,
     metadata: dict | None = None,
     progress: bool = False,
 ) -> ExperimentReport:
@@ -407,8 +400,6 @@ def run_benchmark_suite(
         "guesses": space.guesses,
         "master_seed": master_seed,
         "total_units": total_units,
-        "interlayer_fan_in": interlayer_fan_in,
-        "rcond": rcond,
     }
     outcomes = _execute_jobs(tasks, plan, settings, workers, progress=progress)
 
@@ -442,8 +433,8 @@ def run_benchmark_suite(
     meta = {
         "master_seed": str(master_seed),
         "total_units": str(total_units),
-        "interlayer_fan_in": str(interlayer_fan_in),
-        "rcond": repr(rcond),
+        "interlayer_fan_in": str(INTERLAYER_FAN_IN),
+        "rcond": repr(readout.DEFAULT_RCOND),
         "configs_per_layer": str(space.configs_per_layer),
         "guesses": str(space.guesses),
         "shallow_layer_counts": ",".join(str(l) for l in shallow_space.layer_counts),

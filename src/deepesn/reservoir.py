@@ -15,6 +15,11 @@ bias terms):
 
 where ``R_l`` is the layer's recurrent matrix and ``V_l`` its inbound
 (inter-layer) matrix.
+
+:func:`run` evaluates these equations with layer ``l`` (from 0) running
+``l`` steps late.  Every layer then depends only on the previous skewed
+step, so the whole stack is one sparse block-bidiagonal matrix and each
+step is one sparse product and one ``tanh``, whatever the depth.
 """
 
 from __future__ import annotations
@@ -187,6 +192,13 @@ def run(reservoir: DeepReservoir, inputs: Sequence, initial_state: Optional[np.n
 
     The run starts from the null state unless ``initial_state``, a
     concatenated state of length ``total_units``, is given.
+
+    Layer ``l`` (from 0) is computed ``l`` steps late, so that at skewed
+    step ``s`` it sees its own state and that of the layer below, both
+    from step ``s - 1``.  One product with the block-bidiagonal ``stack``
+    matrix and one ``tanh`` then advance every layer at once.  Layers that
+    have not started yet are held at their initial state, and the skew is
+    undone before the trajectory is returned.
     """
     u = np.asarray(inputs, dtype=float)
     if u.ndim == 1:
@@ -200,52 +212,29 @@ def run(reservoir: DeepReservoir, inputs: Sequence, initial_state: Optional[np.n
         raise ValueError(f"initial state must have length {reservoir.total_units}, got {state0.shape}")
 
     sizes = reservoir.layer_sizes
-    offsets = [0]
-    for n in sizes:
-        offsets.append(offsets[-1] + n)
+    offsets = np.cumsum((0,) + sizes)
     num_layers = len(sizes)
     steps = u.shape[0]
 
-    states = np.empty((steps, offsets[-1]))
-    prev = [state0[offsets[l]:offsets[l + 1]].copy() for l in range(num_layers)]
-    apply_recurrent = [_matvec(lw.recurrent) for lw in reservoir.layers]
-    apply_inbound = [None if lw.inbound is None else _matvec(lw.inbound) for lw in reservoir.layers]
+    # recurrent matrices on the diagonal, inbound ones just below it
+    blocks = [[None] * num_layers for _ in range(num_layers)]
+    for l, lw in enumerate(reservoir.layers):
+        blocks[l][l] = scipy.sparse.csr_array(lw.recurrent)
+        if l > 0:
+            blocks[l][l - 1] = scipy.sparse.csr_array(lw.inbound)
+    stack = scipy.sparse.block_array(blocks, format="csr")
     input_proj = u @ reservoir.input_weights.T  # (steps, n_1), hoisted out of the loop
 
-    for t in range(steps):
-        row = states[t]
-        below = None
-        for l in range(num_layers):
-            pre = apply_recurrent[l](prev[l])
-            if l == 0:
-                pre += input_proj[t]
-            else:
-                pre += apply_inbound[l](below)
-            segment = row[offsets[l]:offsets[l + 1]]
-            np.tanh(pre, out=segment)
-            prev[l] = segment
-            below = segment
-    return StateTrajectory(states=states, layer_sizes=sizes)
-
-
-# Dense mat-vec cost grows with the full matrix size while the structured
-# matrices carry only a handful of non-zeros per row, so above this size a
-# compressed-rows product is several times faster.  Below it the dense BLAS
-# call wins on dispatch overhead.
-_SPARSE_MATVEC_MIN_SIZE = 30_000
-_SPARSE_MATVEC_MAX_DENSITY = 0.25
-
-
-def _matvec(matrix: np.ndarray):
-    """Pick the cheaper mat-vec form for this matrix; result may reuse a buffer."""
-    dense = np.ascontiguousarray(matrix)
-    nnz = np.count_nonzero(dense)
-    if dense.size >= _SPARSE_MATVEC_MIN_SIZE and nnz <= _SPARSE_MATVEC_MAX_DENSITY * dense.size:
-        compressed = scipy.sparse.csr_matrix(dense)
-        return compressed.dot
-    buffer = np.empty(dense.shape[0])
-
-    def product(x, _m=dense, _out=buffer):
-        return np.dot(_m, x, out=_out)
-
-    return product
+    skewed = np.empty((steps + num_layers - 1, offsets[-1]))
+    prev = state0
+    for s in range(skewed.shape[0]):
+        pre = stack @ prev
+        if s < steps:
+            pre[:sizes[0]] += input_proj[s]
+        np.tanh(pre, out=skewed[s])
+        if s < num_layers - 1:  # layers above s have not started yet
+            skewed[s, offsets[s + 1]:] = state0[offsets[s + 1]:]
+        prev = skewed[s]
+    for l in range(1, num_layers):  # undo the skew: move each layer's block up by its lag
+        skewed[:steps, offsets[l]:offsets[l + 1]] = skewed[l:l + steps, offsets[l]:offsets[l + 1]]
+    return StateTrajectory(states=skewed[:steps], layer_sizes=sizes)

@@ -109,6 +109,19 @@ class TestEval:
         assert "warning" in err.lower()
         assert "test MSE" in out
 
+    def test_fan_in_leaves_non_sparse_networks_unchanged(self, capsys):
+        # --fan-in is the in-degree of sparse layers; inter-layer matrices keep five inputs per unit
+        argv = EVAL_ARGS.copy()
+        argv[argv.index("--topology") + 1] = "permutation"
+        argv[argv.index("--units") + 1] = "40"
+        outputs = []
+        for fan_in in ("2", "5"):
+            argv[argv.index("--fan-in") + 1] = fan_in
+            code, out, _ = run_cli(argv, capsys)
+            assert code == 0
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+
     def test_negative_rho_rejected_by_parser(self, capsys):
         argv = EVAL_ARGS.copy()
         argv[argv.index("--rho") + 1] = "-0.5"
@@ -157,12 +170,13 @@ class TestBenchmark:
         laser_file = tmp_path / "laser.txt"
         save_series(np.abs(np.sin(np.arange(600))) * 100 + 1, laser_file)
         monkeypatch.setenv(LASER_PATH_ENV, str(laser_file))
-        code, _, _ = run_cli(
-            ["benchmark", "--tasks", "laser", "--topologies", "ring",
-             "--configs", "1", "--guesses", "1", "--layers", "2", "--units", "20",
-             "--seed", "9", "--quiet", "--out", str(tmp_path / "out"), *TINY],
-            capsys,
-        )
+        with pytest.warns(UserWarning, match="expected 10092 laser samples, found 600"):
+            code, _, _ = run_cli(
+                ["benchmark", "--tasks", "laser", "--topologies", "ring",
+                 "--configs", "1", "--guesses", "1", "--layers", "2", "--units", "20",
+                 "--seed", "9", "--quiet", "--out", str(tmp_path / "out"), *TINY],
+                capsys,
+            )
         assert code == 0
         assert "task: laser" in (tmp_path / "out/report.txt").read_text()
 

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from deepesn import (
-    DEFAULT_RCOND,
     Dataset,
     Ring,
     ScalingSpec,
@@ -99,13 +98,13 @@ class TestEvaluateTrial:
 
     def test_deterministic(self, tiny_task):
         args = (tiny_task, Sparse(3), 2, ScalingSpec(0.8, 0.6, 0.6), 3, 5)
-        a = evaluate_trial(*args, total_units=20, interlayer_fan_in=3)
-        b = evaluate_trial(*args, total_units=20, interlayer_fan_in=3)
+        a = evaluate_trial(*args, total_units=20)
+        b = evaluate_trial(*args, total_units=20)
         assert a == b
 
     def test_aggregates_match_recomputation(self, tiny_task):
         trial = evaluate_trial(tiny_task, Sparse(3), 2, ScalingSpec(0.7, 0.5, 0.5), 4, 5,
-                               total_units=20, interlayer_fan_in=3)
+                               total_units=20)
         assert trial.validation_mse_mean == pytest.approx(np.mean(trial.validation_mses), rel=1e-15)
         assert trial.validation_mse_std == pytest.approx(np.std(trial.validation_mses), rel=1e-12)
         assert trial.test_mse_mean == pytest.approx(np.mean(trial.test_mses), rel=1e-15)
@@ -132,7 +131,7 @@ class TestEvaluateTrial:
             validation_len=tiny_task.validation_len,
         )
         args = dict(topology=Sparse(3), num_layers=2, hyper=ScalingSpec(0.9, 0.7, 0.7),
-                    guesses=2, master_seed=11, total_units=20, interlayer_fan_in=3)
+                    guesses=2, master_seed=11, total_units=20)
         a = evaluate_trial(tiny_task, **args)
         b = evaluate_trial(corrupted, **args)
         assert a.validation_mses == b.validation_mses
@@ -169,7 +168,7 @@ class TestBenchmarkSuite:
     def suite(self, tiny_task, space=TINY_SPACE, **kwargs):
         return run_benchmark_suite(
             [tiny_task], ["sparse", "ring"], space, 7,
-            total_units=20, interlayer_fan_in=3, **kwargs,
+            total_units=20, **kwargs,
         )
 
     def test_structure(self, tiny_task):
@@ -199,7 +198,7 @@ class TestBenchmarkSuite:
         # the executor run on a shuffled plan gives the same outcome for every job
         space = replace(TINY_SPACE, layer_counts=(1, 2))
         plan = [job for kind in (Sparse(3), Ring()) for job in _plan_search(tiny_task, 0, kind, "deep", space, 7)]
-        settings = dict(guesses=2, master_seed=7, total_units=20, interlayer_fan_in=3, rcond=DEFAULT_RCOND)
+        settings = dict(guesses=2, master_seed=7, total_units=20)
         in_order = _execute_jobs([tiny_task], plan, settings, workers=1)
         order = np.random.default_rng(12345).permutation(len(plan))
         assert not np.array_equal(order, np.arange(len(plan)))
@@ -217,7 +216,7 @@ class TestBenchmarkSuite:
     def test_deep_with_single_layer_equals_shallow(self, tiny_task):
         report = run_benchmark_suite(
             [tiny_task], ["sparse"], replace(TINY_SPACE, layer_counts=(1,)), 7,
-            total_units=20, interlayer_fan_in=3,
+            total_units=20,
         )
         entry = report.entries[0]
         assert entry.shallow.trials == entry.deep.trials

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from deepesn import (
     Chain,
     DeepReservoir,
+    DegenerateMatrixError,
     LayerWeights,
     Permutation,
     ReservoirSpec,
@@ -14,6 +17,7 @@ from deepesn import (
     Sparse,
     build_reservoir,
     layer_sizes,
+    parse_topology,
     run,
 )
 
@@ -121,6 +125,29 @@ def manual_two_layer():
     )
 
 
+@st.composite
+def reference_cases(draw):
+    """A small deep reservoir, an input run (possibly shorter than the stack) and an optional start state."""
+    num_layers = draw(st.integers(1, 5))
+    smallest = draw(st.integers(2, 6))
+    total_units = num_layers * smallest + draw(st.integers(0, num_layers - 1))
+    topology = parse_topology(draw(st.sampled_from(["sparse", "permutation", "ring", "chain"])),
+                              fan_in=draw(st.integers(1, smallest)))
+    spec = ReservoirSpec(
+        total_units=total_units,
+        num_layers=num_layers,
+        topology=topology,
+        scaling=ScalingSpec(rho=draw(st.floats(0.1, 1.5)), omega_in=draw(st.floats(0.1, 2.0)),
+                            omega_il=draw(st.floats(0.1, 2.0))),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        interlayer_fan_in=draw(st.integers(1, smallest)),
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    inputs = rng.uniform(-1.0, 1.0, size=draw(st.integers(1, 30)))
+    start = rng.uniform(-0.9, 0.9, size=total_units) if draw(st.booleans()) else None
+    return spec, inputs, start
+
+
 class TestRun:
     def test_zero_input_zero_state_is_identically_zero(self):
         res = build_reservoir(small_spec())
@@ -172,17 +199,28 @@ class TestRun:
         with pytest.raises(ValueError):
             run(res, np.array([1.0, np.nan]))
 
-    def test_matches_plain_reference_recurrence(self):
-        # independent oracle: direct dense evaluation of the update equations
-        res = build_reservoir(small_spec(num_layers=2, total_units=20))
-        inputs = np.sin(np.arange(60) * 0.21)
-        states = run(res, inputs).states
-        n1, n2 = res.layer_sizes
-        x1, x2 = np.zeros(n1), np.zeros(n2)
-        for t, u in enumerate(inputs):
-            x1 = np.tanh(res.input_weights @ np.array([u]) + res.layers[0].recurrent @ x1)
-            x2 = np.tanh(res.layers[1].inbound @ x1 + res.layers[1].recurrent @ x2)
-            assert np.allclose(states[t], np.concatenate([x1, x2]), atol=1e-14)
+    @settings(max_examples=100, deadline=None)
+    @given(reference_cases())
+    def test_matches_plain_reference_recurrence(self, case):
+        # independent oracle: direct dense evaluation of the update equations,
+        # layer after layer within each step, from the same initial state
+        spec, inputs, start = case
+        try:
+            res = build_reservoir(spec)
+        except DegenerateMatrixError:
+            reject()
+        states = run(res, inputs, initial_state=start).states
+        offsets = np.cumsum((0,) + res.layer_sizes)
+        start = np.zeros(res.total_units) if start is None else start
+        x = [start[offsets[l]:offsets[l + 1]] for l in range(res.num_layers)]
+        expected = []
+        for u in inputs:
+            for l, lw in enumerate(res.layers):
+                drive = res.input_weights @ np.array([u]) if l == 0 else lw.inbound @ x[l - 1]
+                x[l] = np.tanh(drive + lw.recurrent @ x[l])
+            expected.append(np.concatenate(x))
+        assert states.shape == (len(inputs), res.total_units)
+        assert np.allclose(states, np.reshape(expected, states.shape), rtol=0.0, atol=1e-12)
 
 
 class TestRunFromState:
