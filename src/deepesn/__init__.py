@@ -18,15 +18,8 @@ from .topology import (
     ScalingSpec,
     Sparse,
     TopologyKind,
-    make_chain_recurrent,
-    make_input_matrix,
-    make_interlayer_matrix,
-    make_permutation_recurrent,
-    make_ring_recurrent,
-    make_sparse_recurrent,
     operator_norm,
     parse_topology,
-    permutation_matrix,
     random_stream,
     spectral_radius,
     topology_name,
@@ -36,19 +29,10 @@ from .reservoir import (
     DeepReservoir,
     LayerWeights,
     ReservoirSpec,
-    StateTrajectory,
     build_reservoir,
-    layer_sizes,
     run,
 )
-from .readout import (
-    DEFAULT_RCOND,
-    ReadoutWeights,
-    RegressionProblem,
-    mse,
-    predict,
-    train_pseudo_inverse,
-)
+from .readout import DEFAULT_RCOND, mse, train_pseudo_inverse
 from .datasets import (
     Dataset,
     DivergenceError,
@@ -56,8 +40,6 @@ from .datasets import (
     generate_mackey_glass,
     generate_narma10,
     load_laser,
-    mackey_glass_raw,
-    narma10_targets,
     save_series,
 )
 from .experiment import (
@@ -74,7 +56,6 @@ from .experiment import (
     load_trial_log,
     run_benchmark_suite,
     sample_config,
-    select_best,
     trial_log_table,
 )
 
@@ -82,22 +63,19 @@ __all__ = [
     "__version__",
     # topology
     "Sparse", "Permutation", "Ring", "Chain", "TopologyKind", "ScalingSpec",
-    "DegenerateMatrixError", "make_sparse_recurrent", "make_permutation_recurrent",
-    "make_ring_recurrent", "make_chain_recurrent", "make_input_matrix",
-    "make_interlayer_matrix", "permutation_matrix", "spectral_radius",
-    "operator_norm", "random_stream", "topology_name", "parse_topology",
+    "DegenerateMatrixError", "spectral_radius", "operator_norm", "random_stream",
+    "topology_name", "parse_topology",
     # reservoir
-    "ReservoirSpec", "DeepReservoir", "LayerWeights", "StateTrajectory",
-    "layer_sizes", "build_reservoir", "run", "INTERLAYER_FAN_IN",
+    "ReservoirSpec", "DeepReservoir", "LayerWeights", "build_reservoir", "run",
+    "INTERLAYER_FAN_IN",
     # readout
-    "ReadoutWeights", "RegressionProblem", "train_pseudo_inverse", "predict",
-    "mse", "DEFAULT_RCOND",
+    "train_pseudo_inverse", "mse", "DEFAULT_RCOND",
     # datasets
     "Dataset", "MGParams", "DivergenceError", "generate_narma10",
-    "narma10_targets", "generate_mackey_glass", "mackey_glass_raw", "load_laser",
-    "save_series",
+    "generate_mackey_glass", "load_laser", "save_series",
     # experiment
     "SearchSpace", "TrialResult", "SearchResult", "BenchmarkEntry",
     "ExperimentReport", "FULL_BUDGET", "REDUCED_BUDGET", "sample_config",
-    "derive_seed", "evaluate_trial", "select_best", "run_benchmark_suite", "format_report", "trial_log_table", "load_trial_log",
+    "derive_seed", "evaluate_trial", "run_benchmark_suite", "format_report",
+    "trial_log_table", "load_trial_log",
 ]

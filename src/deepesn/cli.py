@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -25,7 +26,6 @@ from .datasets import (
 from .experiment import (
     FULL_BUDGET,
     REDUCED_BUDGET,
-    SearchSpace,
     evaluate_trial,
     format_report,
     run_benchmark_suite,
@@ -70,6 +70,10 @@ def _csv(text: str) -> list[str]:
     if not items:
         raise argparse.ArgumentTypeError("expected a comma-separated list")
     return items
+
+
+def _positive_int_csv(text: str) -> tuple[int, ...]:
+    return tuple(_positive_int(item) for item in _csv(text))
 
 
 def _mg_params(task: str) -> MGParams:
@@ -207,23 +211,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
-    if args.budget == "full":
-        space = FULL_BUDGET
-    else:
-        space = REDUCED_BUDGET
-    overrides = {}
-    if args.configs is not None:
-        overrides["configs_per_layer"] = args.configs
-    if args.guesses is not None:
-        overrides["guesses"] = args.guesses
-    if args.layers is not None:
-        overrides["layer_counts"] = tuple(int(l) for l in args.layers)
-    if overrides:
-        space = SearchSpace(
-            configs_per_layer=overrides.get("configs_per_layer", space.configs_per_layer),
-            guesses=overrides.get("guesses", space.guesses),
-            layer_counts=overrides.get("layer_counts", space.layer_counts),
-        )
+    space = FULL_BUDGET if args.budget == "full" else REDUCED_BUDGET
+    overrides = {"configs_per_layer": args.configs, "guesses": args.guesses, "layer_counts": args.layers}
+    space = replace(space, **{key: value for key, value in overrides.items() if value is not None})
 
     laser_path = args.laser_path or os.environ.get(LASER_PATH_ENV)
     tasks, metadata, partial = [], {}, False
@@ -282,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--length", type=_positive_int, default=10000, help="series length in steps")
         sub.add_argument("--train-len", type=_positive_int, default=5000, help="training split length")
         sub.add_argument("--washout", type=_nonnegative_int, default=100, help="initial steps excluded from fits")
-        sub.add_argument("--validation-len", type=_nonnegative_int, default=1000,
+        sub.add_argument("--validation-len", type=_positive_int, default=1000,
                          help="validation tail of the training split")
 
     gen = commands.add_parser("generate", help="write a generated task to disk as text series")
@@ -317,7 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="full: 50 configs x 10 guesses; reduced: 10 x 3")
     bench.add_argument("--configs", type=_positive_int, default=None, help="override configs per layer count")
     bench.add_argument("--guesses", type=_positive_int, default=None, help="override guesses per config")
-    bench.add_argument("--layers", type=_csv, default=None, help="override deep layer counts, e.g. 2,3")
+    bench.add_argument("--layers", type=_positive_int_csv, default=None,
+                       help="override deep layer counts, e.g. 2,3")
     bench.add_argument("--seed", type=_nonnegative_int, default=42, help="master seed")
     bench.add_argument("--data-seed", type=_nonnegative_int, default=1)
     bench.add_argument("--units", type=_positive_int, default=500)

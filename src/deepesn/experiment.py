@@ -195,15 +195,11 @@ def evaluate_trial(
             input_dim=1,
             seed=seed,
         )
-        states = run(build_reservoir(spec), task.inputs).states
-        val_fit = readout.train_pseudo_inverse(
-            readout.RegressionProblem(states[washout:fit_end], targets[washout:fit_end])
-        )
-        val_mses.append(readout.mse(states[fit_end:train_end] @ val_fit.matrix.T, targets[fit_end:train_end]))
-        test_fit = readout.train_pseudo_inverse(
-            readout.RegressionProblem(states[washout:train_end], targets[washout:train_end])
-        )
-        test_mses.append(readout.mse(states[train_end:] @ test_fit.matrix.T, targets[train_end:]))
+        states = run(build_reservoir(spec), task.inputs)
+        val_fit = readout.train_pseudo_inverse(states[washout:fit_end], targets[washout:fit_end])
+        val_mses.append(readout.mse(states[fit_end:train_end] @ val_fit, targets[fit_end:train_end]))
+        test_fit = readout.train_pseudo_inverse(states[washout:train_end], targets[washout:train_end])
+        test_mses.append(readout.mse(states[train_end:] @ test_fit, targets[train_end:]))
     return TrialResult.from_guesses(
         task=task.name,
         topology=topo_name,
@@ -252,12 +248,6 @@ class ExperimentReport:
     entries: tuple[BenchmarkEntry, ...]
     metadata: dict = field(default_factory=dict)
     failures: tuple[str, ...] = ()
-
-    def entry(self, task: str, topology: str) -> BenchmarkEntry:
-        for item in self.entries:
-            if item.task == task and item.topology == topology:
-                return item
-        raise KeyError(f"no benchmark entry for ({task!r}, {topology!r})")
 
 
 @dataclass(frozen=True)

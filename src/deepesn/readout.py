@@ -1,69 +1,34 @@
-"""Linear readout: pseudo-inverse training, prediction and MSE scoring."""
+"""Linear readout: pseudo-inverse training and MSE scoring."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from .reservoir import StateTrajectory
 
 DEFAULT_RCOND = 1e-12
 
 
-@dataclass(frozen=True)
-class RegressionProblem:
-    """Post-washout global states paired with their target rows."""
-
-    states: np.ndarray
-    targets: np.ndarray
-
-    def __post_init__(self):
-        states = np.asarray(self.states, dtype=float)
-        targets = np.asarray(self.targets, dtype=float)
-        if states.ndim != 2:
-            raise ValueError(f"states must be 2-D, got shape {states.shape}")
-        if targets.ndim == 1:
-            targets = targets[:, None]
-        if targets.ndim != 2:
-            raise ValueError(f"targets must be 1-D or 2-D, got shape {targets.shape}")
-        if states.shape[0] != targets.shape[0]:
-            raise ValueError(f"row mismatch: {states.shape[0]} states vs {targets.shape[0]} targets")
-        if states.shape[0] == 0:
-            raise ValueError("regression problem is empty")
-        if not (np.all(np.isfinite(states)) and np.all(np.isfinite(targets))):
-            raise ValueError("regression problem contains non-finite entries")
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "targets", targets)
-
-
-@dataclass(frozen=True)
-class ReadoutWeights:
-    """Trained output matrix, one row per output component."""
-
-    matrix: np.ndarray
-
-    @property
-    def width(self) -> int:
-        return int(self.matrix.shape[1])
-
-
-def train_pseudo_inverse(problem: RegressionProblem, rcond: float = DEFAULT_RCOND) -> ReadoutWeights:
+def train_pseudo_inverse(states, targets, rcond: float = DEFAULT_RCOND) -> np.ndarray:
     """Minimum-norm least-squares readout via SVD pseudo-inversion.
 
-    Singular values below ``rcond`` times the largest are treated as zero.
+    ``states`` holds one post-washout global state per row and ``targets``
+    the matching target rows (1-D for a single output).  Returns the
+    ``(width, outputs)`` matrix ``w``, so ``states @ w`` predicts.  Singular
+    values below ``rcond`` times the largest are treated as zero.
+
+    Raises ``ValueError`` on an empty, row-mismatched or non-finite
+    problem, where ``np.linalg.lstsq`` alone would return zeros or NaN.
     """
-    coeffs, _, _, _ = np.linalg.lstsq(problem.states, problem.targets, rcond=rcond)
-    return ReadoutWeights(matrix=np.ascontiguousarray(coeffs.T))
-
-
-def predict(weights: ReadoutWeights, trajectory: StateTrajectory, washout: int) -> np.ndarray:
-    """Apply the readout to every post-washout global state, in step order."""
-    if not 0 <= washout < trajectory.num_steps:
-        raise ValueError(f"washout must be in [0, {trajectory.num_steps}), got {washout}")
-    if trajectory.width != weights.width:
-        raise ValueError(f"state width {trajectory.width} does not match readout width {weights.width}")
-    return trajectory.states[washout:] @ weights.matrix.T
+    states = np.asarray(states, dtype=float)
+    targets = _as_rows(targets, "targets")
+    if states.ndim != 2:
+        raise ValueError(f"states must be 2-D, got shape {states.shape}")
+    if states.shape[0] != targets.shape[0]:
+        raise ValueError(f"row mismatch: {states.shape[0]} states vs {targets.shape[0]} targets")
+    if states.shape[0] == 0:
+        raise ValueError("regression problem is empty")
+    if not (np.all(np.isfinite(states)) and np.all(np.isfinite(targets))):
+        raise ValueError("regression problem contains non-finite entries")
+    return np.linalg.lstsq(states, targets, rcond=rcond)[0]
 
 
 def mse(predictions, targets) -> float:

@@ -115,34 +115,6 @@ class DeepReservoir:
         return int(self.input_weights.shape[1])
 
 
-@dataclass(frozen=True)
-class StateTrajectory:
-    """Per-step concatenated layer states, one row per input step."""
-
-    states: np.ndarray
-    layer_sizes: tuple[int, ...]
-
-    @property
-    def num_steps(self) -> int:
-        return int(self.states.shape[0])
-
-    @property
-    def width(self) -> int:
-        return int(self.states.shape[1])
-
-    @property
-    def layer_offsets(self) -> tuple[int, ...]:
-        out = [0]
-        for n in self.layer_sizes:
-            out.append(out[-1] + n)
-        return tuple(out)
-
-    def layer_states(self, index: int) -> np.ndarray:
-        """View of one layer's trajectory (layers indexed from 0)."""
-        offsets = self.layer_offsets
-        return self.states[:, offsets[index]:offsets[index + 1]]
-
-
 def _make_recurrent(kind: TopologyKind, n: int, rho: float, rng: np.random.Generator) -> np.ndarray:
     if isinstance(kind, Sparse):
         return make_sparse_recurrent(n, kind.fan_in, rho, rng)
@@ -187,8 +159,11 @@ def build_reservoir(spec: ReservoirSpec) -> DeepReservoir:
     return DeepReservoir(input_weights=input_weights, layers=tuple(layers), layer_sizes=sizes)
 
 
-def run(reservoir: DeepReservoir, inputs: Sequence, initial_state: Optional[np.ndarray] = None) -> StateTrajectory:
-    """Drive the reservoir over ``inputs`` and collect the global states.
+def run(reservoir: DeepReservoir, inputs: Sequence, initial_state: Optional[np.ndarray] = None) -> np.ndarray:
+    """Drive the reservoir over ``inputs`` and return the global states.
+
+    The result has one row per input step and one column per unit, the
+    layers' states side by side in layer order: ``(steps, total_units)``.
 
     The run starts from the null state unless ``initial_state``, a
     concatenated state of length ``total_units``, is given.
@@ -198,7 +173,7 @@ def run(reservoir: DeepReservoir, inputs: Sequence, initial_state: Optional[np.n
     from step ``s - 1``.  One product with the block-bidiagonal ``stack``
     matrix and one ``tanh`` then advance every layer at once.  Layers that
     have not started yet are held at their initial state, and the skew is
-    undone before the trajectory is returned.
+    undone before the states are returned.
     """
     u = np.asarray(inputs, dtype=float)
     if u.ndim == 1:
@@ -237,4 +212,4 @@ def run(reservoir: DeepReservoir, inputs: Sequence, initial_state: Optional[np.n
         prev = skewed[s]
     for l in range(1, num_layers):  # undo the skew: move each layer's block up by its lag
         skewed[:steps, offsets[l]:offsets[l + 1]] = skewed[l:l + steps, offsets[l]:offsets[l + 1]]
-    return StateTrajectory(states=skewed[:steps], layer_sizes=sizes)
+    return skewed[:steps]

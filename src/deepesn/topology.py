@@ -131,27 +131,14 @@ def make_sparse_recurrent(n: int, fan_in: int, rho: float, rng: np.random.Genera
     )
 
 
-def permutation_matrix(perm: np.ndarray, weight: float) -> np.ndarray:
-    """``weight`` times the identity with its columns permuted by ``perm``.
-
-    Column ``j`` carries its non-zero in row ``perm[j]``; the identity
-    permutation gives ``weight * I``.
-    """
-    perm = np.asarray(perm)
-    n = perm.shape[0]
-    if sorted(perm.tolist()) != list(range(n)):
-        raise ValueError("perm must be a permutation of 0..n-1")
-    out = np.zeros((n, n))
-    out[perm, np.arange(n)] = weight
-    return out
-
-
 def make_permutation_recurrent(n: int, weight: float, rng: np.random.Generator) -> np.ndarray:
     """Scaled random permutation matrix; its spectral radius is exactly ``weight``."""
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     _require_positive("weight", weight)
-    return permutation_matrix(rng.permutation(n), weight)
+    out = np.zeros((n, n))
+    out[rng.permutation(n), np.arange(n)] = weight  # column j feeds row perm[j]
+    return out
 
 
 def make_ring_recurrent(n: int, weight: float) -> np.ndarray:

@@ -34,16 +34,16 @@ def test_c01_permutation_and_ring_orthogonality():
     for seed in range(NUM_SEEDS):
         lam = 0.3 + 0.6 * seed / (NUM_SEEDS - 1)
         for n in SIZES:
-            p = d.make_permutation_recurrent(n, lam, d.random_stream(seed, n))
+            p = d.topology.make_permutation_recurrent(n, lam, d.random_stream(seed, n))
             assert np.abs(p.T @ p - lam * lam * np.eye(n)).max() <= 1e-12
     for n in SIZES:
-        r = d.make_ring_recurrent(n, 0.9)
+        r = d.topology.make_ring_recurrent(n, 0.9)
         assert np.abs(r.T @ r - 0.81 * np.eye(n)).max() <= 1e-12
 
 
 def test_c01_chain_nilpotent_exactly():
     for n in SIZES:
-        m = d.make_chain_recurrent(n, 0.9)
+        m = d.topology.make_chain_recurrent(n, 0.9)
         assert np.array_equal(np.linalg.matrix_power(m, n), np.zeros((n, n)))
 
 
@@ -51,7 +51,7 @@ def test_c01_sparse_hits_target_radius():
     for seed in range(NUM_SEEDS):
         rho = 0.1 + 0.9 * (seed + 1) / NUM_SEEDS
         n = SIZES[seed % len(SIZES)]
-        m = d.make_sparse_recurrent(n, min(5, n), rho, d.random_stream(seed, 1000 + n))
+        m = d.topology.make_sparse_recurrent(n, min(5, n), rho, d.random_stream(seed, 1000 + n))
         oracle = np.max(np.abs(np.linalg.eigvals(m)))  # independent dense eigensolver
         assert abs(oracle - rho) <= 1e-8
 
@@ -62,10 +62,10 @@ def test_c02_zero_input_zero_state_and_boundedness():
     scaling = d.ScalingSpec(rho=0.9, omega_in=1.5, omega_il=1.5)
     spec = d.ReservoirSpec(total_units=500, num_layers=3, topology=d.Sparse(5), scaling=scaling, seed=2)
     res = d.build_reservoir(spec)
-    zeros = d.run(res, np.zeros(200)).states
+    zeros = d.run(res, np.zeros(200))
     assert np.array_equal(zeros, np.zeros((200, 500)))
     driven = d.run(res, d.generate_narma10(1000, 0, train_len=500, washout=10, validation_len=100).inputs)
-    assert np.all(np.abs(driven.states) < 1.0)
+    assert np.all(np.abs(driven) < 1.0)
 
 
 def test_c02_permutation_contraction_factor():
@@ -74,8 +74,8 @@ def test_c02_permutation_contraction_factor():
     res = d.build_reservoir(spec)
     inputs = d.generate_narma10(400, 1, train_len=200, washout=10, validation_len=50).inputs
     start = np.clip(np.random.default_rng(0).uniform(-0.8, 0.8, 167), -0.8, 0.8)
-    a = d.run(res, inputs).states
-    b = d.run(res, inputs, initial_state=start).states
+    a = d.run(res, inputs)
+    b = d.run(res, inputs, initial_state=start)
     previous = float(np.linalg.norm(start))
     for gap in np.linalg.norm(a - b, axis=1):
         if previous < 1e-4:
@@ -93,8 +93,8 @@ def test_c03_pseudo_inverse_matches_normal_equations():
         cols = int(rng.integers(10, 60))
         states = rng.standard_normal((rows, cols))
         targets = rng.standard_normal((rows, 1))
-        fitted = d.train_pseudo_inverse(d.RegressionProblem(states, targets)).matrix
-        oracle = np.linalg.solve(states.T @ states, states.T @ targets).T
+        fitted = d.train_pseudo_inverse(states, targets)
+        oracle = np.linalg.solve(states.T @ states, states.T @ targets)
         assert np.abs(fitted - oracle).max() <= 1e-8
 
 
@@ -104,8 +104,8 @@ def test_c03_noiseless_linear_training_error():
         states = rng.standard_normal((120, 20))
         coefs = rng.standard_normal((1, 20))
         targets = states @ coefs.T
-        fitted = d.train_pseudo_inverse(d.RegressionProblem(states, targets))
-        assert d.mse(states @ fitted.matrix.T, targets) <= 1e-18
+        fitted = d.train_pseudo_inverse(states, targets)
+        assert d.mse(states @ fitted, targets) <= 1e-18
 
 
 # --- criterion 4: NARMA10 oracle -------------------------------------------
@@ -124,7 +124,7 @@ def test_c04_narma10_reevaluation_exact():
 
 
 def test_c04_zero_input_prefix():
-    prefix = d.narma10_targets(np.zeros(2))
+    prefix = d.datasets.narma10_targets(np.zeros(2))
     assert prefix[0] == 0.1
     assert prefix[1] == pytest.approx(0.1305, abs=1e-15)
 
@@ -139,8 +139,8 @@ def test_c04_zero_input_prefix():
 def test_c05_mg_step_refinement_over_1000_samples():
     base = d.MGParams(tau=17.0)  # step 0.1, one sample per time unit
     half = replace(base, step=base.step / 2, subsample=base.subsample * 2)
-    coarse = d.mackey_glass_raw(base, 1000)
-    fine = d.mackey_glass_raw(half, 1000)
+    coarse = d.datasets.mackey_glass_raw(base, 1000)
+    fine = d.datasets.mackey_glass_raw(half, 1000)
     assert np.max(np.abs(coarse - fine)) < 1e-3
 
 

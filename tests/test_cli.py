@@ -180,6 +180,22 @@ class TestBenchmark:
         assert code == 0
         assert "task: laser" in (tmp_path / "out/report.txt").read_text()
 
+    @pytest.mark.parametrize("layers", ["a", "0", "2,0"])
+    def test_bad_layers_is_a_usage_error(self, layers, tmp_path, capsys):
+        argv = BENCH_ARGS + ["--out", str(tmp_path)]
+        argv[argv.index("--layers") + 1] = layers
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+
+    def test_zero_validation_len_is_rejected_before_any_work(self, tmp_path, capsys):
+        argv = BENCH_ARGS + ["--out", str(tmp_path)]
+        argv[argv.index("--validation-len") + 1] = "0"
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert not (tmp_path / "report.txt").exists()
+
     def test_unknown_task_rejected(self, tmp_path, capsys):
         code, _, err = run_cli(
             ["benchmark", "--tasks", "nonsense", "--topologies", "ring", "--configs", "1",

@@ -10,10 +10,9 @@ from deepesn import (
     generate_mackey_glass,
     generate_narma10,
     load_laser,
-    mackey_glass_raw,
-    narma10_targets,
     save_series,
 )
+from deepesn.datasets import mackey_glass_raw, narma10_targets
 
 
 def narma_oracle(inputs):

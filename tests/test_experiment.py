@@ -22,10 +22,9 @@ from deepesn import (
     random_stream,
     run_benchmark_suite,
     sample_config,
-    select_best,
     trial_log_table,
 )
-from deepesn.experiment import _execute_jobs, _plan_search
+from deepesn.experiment import _execute_jobs, _plan_search, select_best
 
 TINY_SPACE = SearchSpace(configs_per_layer=2, guesses=2, layer_counts=(2,))
 

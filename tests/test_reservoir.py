@@ -16,10 +16,10 @@ from deepesn import (
     ScalingSpec,
     Sparse,
     build_reservoir,
-    layer_sizes,
     parse_topology,
     run,
 )
+from deepesn.reservoir import layer_sizes
 
 SCALING = ScalingSpec(rho=0.9, omega_in=0.8, omega_il=1.1)
 
@@ -151,8 +151,8 @@ def reference_cases(draw):
 class TestRun:
     def test_zero_input_zero_state_is_identically_zero(self):
         res = build_reservoir(small_spec())
-        traj = run(res, np.zeros(50))
-        assert np.array_equal(traj.states, np.zeros((50, 24)))
+        states = run(res, np.zeros(50))
+        assert np.array_equal(states, np.zeros((50, 24)))
 
     def test_single_unit_without_recurrence_decouples(self):
         res = DeepReservoir(
@@ -160,37 +160,30 @@ class TestRun:
             layers=(LayerWeights(recurrent=np.array([[0.0]])),),
             layer_sizes=(1,),
         )
-        traj = run(res, [0.5, -0.5])
-        assert np.array_equal(traj.states, np.tanh([[0.5], [-0.5]]))
+        states = run(res, [0.5, -0.5])
+        assert np.array_equal(states, np.tanh([[0.5], [-0.5]]))
 
     def test_two_layer_hand_evaluation(self):
         # first layer sees the input, second sees the first layer's current state
-        traj = run(manual_two_layer(), [1.0, 1.0])
+        states = run(manual_two_layer(), [1.0, 1.0])
         x1_1 = np.tanh(1.0)
         x2_1 = np.tanh(x1_1)
         x1_2 = np.tanh(1.0 + 0.5 * x1_1)
         x2_2 = np.tanh(x1_2 + 0.5 * x2_1)
-        assert np.array_equal(traj.states, np.array([[x1_1, x2_1], [x1_2, x2_2]]))
+        assert np.array_equal(states, np.array([[x1_1, x2_1], [x1_2, x2_2]]))
 
     def test_states_strictly_inside_unit_interval(self):
         res = build_reservoir(small_spec(topology=Permutation()))
         inputs = np.sin(np.arange(200) * 0.7) * 3.0
-        states = run(res, inputs).states
+        states = run(res, inputs)
         assert np.all(np.abs(states) < 1.0)
 
     def test_causality_prefix_bit_exact(self):
         res = build_reservoir(small_spec())
         inputs = np.cos(np.arange(120) * 0.3)
-        full = run(res, inputs).states
-        prefix = run(res, inputs[:40]).states
+        full = run(res, inputs)
+        prefix = run(res, inputs[:40])
         assert np.array_equal(full[:40], prefix)
-
-    def test_trajectory_layer_views(self):
-        res = build_reservoir(small_spec())
-        traj = run(res, np.ones(10))
-        assert traj.layer_offsets == (0, 8, 16, 24)
-        assert traj.layer_states(1).shape == (10, 8)
-        assert traj.num_steps == 10 and traj.width == 24
 
     def test_input_shape_errors(self):
         res = build_reservoir(small_spec())
@@ -209,7 +202,7 @@ class TestRun:
             res = build_reservoir(spec)
         except DegenerateMatrixError:
             reject()
-        states = run(res, inputs, initial_state=start).states
+        states = run(res, inputs, initial_state=start)
         offsets = np.cumsum((0,) + res.layer_sizes)
         start = np.zeros(res.total_units) if start is None else start
         x = [start[offsets[l]:offsets[l + 1]] for l in range(res.num_layers)]
@@ -230,7 +223,7 @@ class TestRunFromState:
         res = build_reservoir(small_spec())
         inputs = np.sin(np.arange(30) * 0.5)
         assert np.array_equal(
-            run(res, inputs).states, run(res, inputs, initial_state=np.zeros(24)).states
+            run(res, inputs), run(res, inputs, initial_state=np.zeros(24))
         )
 
     def test_initial_state_length_checked(self):
@@ -245,8 +238,8 @@ class TestRunFromState:
         inputs = np.sin(np.arange(300) * 0.17)
         rng = np.random.default_rng(3)
         start = np.clip(rng.uniform(-0.9, 0.9, size=40), -0.9, 0.9)
-        a = run(res, inputs, initial_state=np.zeros(40)).states
-        b = run(res, inputs, initial_state=start).states
+        a = run(res, inputs, initial_state=np.zeros(40))
+        b = run(res, inputs, initial_state=start)
         gaps = np.linalg.norm(a - b, axis=1)
         previous = np.linalg.norm(start)
         for gap in gaps:
@@ -263,7 +256,7 @@ class TestRunFromState:
         start[:20] = 0.5
         a = run(res, inputs, initial_state=np.zeros(40))
         b = run(res, inputs, initial_state=start)
-        gaps = np.linalg.norm(a.layer_states(0) - b.layer_states(0), axis=1)
+        gaps = np.linalg.norm(a[:, :20] - b[:, :20], axis=1)
         previous = np.linalg.norm(start[:20])
         for gap in gaps:
             if previous < 1e-4:
@@ -275,7 +268,7 @@ class TestRunFromState:
         spec = small_spec(num_layers=1, total_units=12, topology=Chain())
         res = build_reservoir(spec)
         inputs = np.concatenate([np.ones(5), np.zeros(14)])
-        states = run(res, inputs).states
+        states = run(res, inputs)
         # zero input plus nilpotent recurrence: state is exactly zero after
         # at most layer-size further steps
         assert np.array_equal(states[5 + 12:], np.zeros((2, 12)))

@@ -7,15 +7,8 @@ from hypothesis import strategies as st
 
 from deepesn import (
     DegenerateMatrixError,
-    make_chain_recurrent,
-    make_input_matrix,
-    make_interlayer_matrix,
-    make_permutation_recurrent,
-    make_ring_recurrent,
-    make_sparse_recurrent,
     operator_norm,
     parse_topology,
-    permutation_matrix,
     random_stream,
     spectral_radius,
     topology_name,
@@ -24,6 +17,14 @@ from deepesn import (
     Ring,
     ScalingSpec,
     Sparse,
+)
+from deepesn.topology import (
+    make_chain_recurrent,
+    make_input_matrix,
+    make_interlayer_matrix,
+    make_permutation_recurrent,
+    make_ring_recurrent,
+    make_sparse_recurrent,
 )
 
 
@@ -98,9 +99,6 @@ class TestSparseRecurrent:
 
 
 class TestPermutationRecurrent:
-    def test_identity_permutation_is_scaled_identity(self):
-        assert np.array_equal(permutation_matrix(np.arange(3), 0.7), 0.7 * np.eye(3))
-
     def test_orthogonal_up_to_scale(self):
         m = make_permutation_recurrent(4, 0.9, random_stream(1))
         assert np.allclose(m.T @ m, 0.81 * np.eye(4), atol=1e-15)
@@ -115,10 +113,6 @@ class TestPermutationRecurrent:
         assert (np.count_nonzero(m, axis=0) == 1).all()
         assert (np.count_nonzero(m, axis=1) == 1).all()
         assert np.all(m[m != 0] == 0.5)
-
-    def test_rejects_non_permutation(self):
-        with pytest.raises(ValueError):
-            permutation_matrix(np.array([0, 0, 2]), 1.0)
 
 
 class TestRingRecurrent:
@@ -145,8 +139,9 @@ class TestRingRecurrent:
 
     def test_is_single_cycle_permutation(self):
         n = 9
-        cycle = (np.arange(n) + 1) % n  # column i feeds row i+1 mod n
-        assert np.array_equal(make_ring_recurrent(n, 0.4), permutation_matrix(cycle, 0.4))
+        cycle = np.zeros((n, n))
+        cycle[(np.arange(n) + 1) % n, np.arange(n)] = 0.4  # column i feeds row i+1 mod n
+        assert np.array_equal(make_ring_recurrent(n, 0.4), cycle)
 
     def test_too_small(self):
         with pytest.raises(ValueError):
