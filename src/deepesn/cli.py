@@ -18,6 +18,7 @@ from .datasets import (
     Dataset,
     DivergenceError,
     MGParams,
+    check_split,
     generate_mackey_glass,
     generate_narma10,
     load_laser,
@@ -31,6 +32,7 @@ from .experiment import (
     run_benchmark_suite,
     trial_log_table,
 )
+from .reservoir import check_layout
 from .topology import ScalingSpec, parse_topology
 
 LASER_PATH_ENV = "DEEPESN_LASER_PATH"
@@ -74,6 +76,18 @@ def _csv(text: str) -> list[str]:
 
 def _positive_int_csv(text: str) -> tuple[int, ...]:
     return tuple(_positive_int(item) for item in _csv(text))
+
+
+def _reject_unrunnable(args, task_names, topologies, layer_counts) -> None:
+    """Raise UsageError, before any work, for argument combinations that no trial can run."""
+    length = args.length if set(task_names) & set(GENERATED_TASKS) else None
+    try:
+        check_split(args.train_len, args.washout, args.validation_len, length)
+        for topology in topologies:
+            for num_layers in layer_counts:
+                check_layout(args.units, num_layers, topology)
+    except ValueError as exc:
+        raise UsageError(f"no trial can run with these arguments: {exc}") from None
 
 
 def _mg_params(task: str) -> MGParams:
@@ -136,6 +150,7 @@ def cmd_generate(args) -> int:
             "the laser series is measured data and cannot be generated; "
             "point --laser-path (or the environment) at an existing file instead"
         )
+    _reject_unrunnable(args, [args.task], [], [])
     dataset, meta = make_task(
         args.task,
         seed=args.seed,
@@ -173,6 +188,8 @@ def cmd_eval(args) -> int:
             "dynamics may be unstable",
             file=sys.stderr,
         )
+    topology = parse_topology(args.topology, fan_in=args.fan_in)
+    _reject_unrunnable(args, [args.task], [topology], [args.layers])
     laser_path = args.laser_path or os.environ.get(LASER_PATH_ENV)
     dataset, _ = make_task(
         args.task,
@@ -183,7 +200,6 @@ def cmd_eval(args) -> int:
         washout=args.washout,
         validation_len=args.validation_len,
     )
-    topology = parse_topology(args.topology, fan_in=args.fan_in)
     hyper = ScalingSpec(rho=args.rho, omega_in=args.omega_in, omega_il=args.omega_il)
     trial = evaluate_trial(
         dataset,
@@ -214,6 +230,8 @@ def cmd_benchmark(args) -> int:
     space = FULL_BUDGET if args.budget == "full" else REDUCED_BUDGET
     overrides = {"configs_per_layer": args.configs, "guesses": args.guesses, "layer_counts": args.layers}
     space = replace(space, **{key: value for key, value in overrides.items() if value is not None})
+    topologies = [parse_topology(name) for name in args.topologies]
+    _reject_unrunnable(args, args.tasks, topologies, (1,) + space.layer_counts)  # 1: the shallow search
 
     laser_path = args.laser_path or os.environ.get(LASER_PATH_ENV)
     tasks, metadata, partial = [], {}, False
@@ -240,7 +258,7 @@ def cmd_benchmark(args) -> int:
 
     report = run_benchmark_suite(
         tasks,
-        args.topologies,
+        topologies,
         space,
         args.seed,
         workers=args.workers,

@@ -54,24 +54,24 @@ class Dataset:
             raise ValueError(f"length mismatch: {inputs.shape[0]} inputs vs {targets.shape[0]} targets")
         if not (np.all(np.isfinite(inputs)) and np.all(np.isfinite(targets))):
             raise ValueError("series contain non-finite values")
-        if self.train_len < 1:
-            raise ValueError(f"train_len must be positive, got {self.train_len}")
-        if inputs.shape[0] < self.train_len + 1:
-            raise ValueError(
-                f"series of length {inputs.shape[0]} is too short for train_len {self.train_len}"
-            )
-        if self.washout < 0 or self.validation_len < 0:
-            raise ValueError("washout and validation_len must be non-negative")
-        if self.washout + self.validation_len >= self.train_len:
-            raise ValueError(
-                f"washout {self.washout} plus validation_len {self.validation_len} "
-                f"leaves no fit range in train_len {self.train_len}"
-            )
+        check_split(self.train_len, self.washout, self.validation_len, inputs.shape[0])
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "targets", targets)
 
     def __len__(self) -> int:
         return int(self.inputs.shape[0])
+
+
+def check_split(train_len: int, washout: int, validation_len: int, length: int | None = None) -> None:
+    """Raise ValueError unless the split leaves a fit range and, for a known length, a test range."""
+    if washout < 0 or validation_len < 0:
+        raise ValueError("washout and validation_len must be non-negative")
+    if washout + validation_len >= train_len:  # so train_len is positive, too
+        raise ValueError(
+            f"washout {washout} plus validation_len {validation_len} leaves no fit range in train_len {train_len}"
+        )
+    if length is not None and length < train_len + 1:
+        raise ValueError(f"series of length {length} is too short for train_len {train_len}")
 
 
 def narma10_targets(inputs) -> np.ndarray:

@@ -8,12 +8,14 @@ network guesses, selects the best configuration by validation MSE only,
 and reports that configuration's test MSE.
 
 Everything is keyed by a master seed and the trial's structural identity,
-never by execution order, so reruns and parallel runs at the same BLAS
-thread count produce identical reports.
+never by execution order, and the search pins OpenBLAS to one thread per
+trial, so reruns and parallel runs produce identical reports.  Called on its
+own, :func:`evaluate_trial` keeps the caller's BLAS threads.
 """
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import multiprocessing
 import struct
@@ -187,14 +189,7 @@ def evaluate_trial(
             master_seed, "guess", topo_name, fan_in, num_layers,
             hyper.rho, hyper.omega_in, hyper.omega_il, guess,
         )
-        spec = ReservoirSpec(
-            total_units=total_units,
-            num_layers=num_layers,
-            topology=topology,
-            scaling=hyper,
-            input_dim=1,
-            seed=seed,
-        )
+        spec = ReservoirSpec(total_units=total_units, num_layers=num_layers, topology=topology, scaling=hyper, seed=seed)
         states = run(build_reservoir(spec), task.inputs)
         val_fit = readout.train_pseudo_inverse(states[washout:fit_end], targets[washout:fit_end])
         val_mses.append(readout.mse(states[fit_end:train_end] @ val_fit, targets[fit_end:train_end]))
@@ -301,20 +296,25 @@ def _run_job(job: _Job):
         return trial, failure
 
 
-def _threadpool_limits():
-    """threadpoolctl's ``threadpool_limits``, or None where the package is not installed."""
+def _set_openblas_threads(threads: int) -> list:
+    """Set each OpenBLAS in /proc/self/maps to ``threads`` threads; return (setter, previous count) pairs."""
     try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        return None
-    return threadpool_limits
-
-
-def _limit_worker_blas():
-    # one BLAS thread per worker process; results are unchanged, contention is not
-    limits = _threadpool_limits()
-    if limits is not None:
-        limits(1)
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = sorted({path for path in (line.split()[-1] for line in maps) if "openblas" in path})
+    except OSError:
+        return []
+    found = []
+    for library in map(ctypes.CDLL, paths):
+        # numpy's bundled ILP64 build, scipy's bundled build, a system build
+        for name in ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads", "openblas_{}_num_threads"):
+            if hasattr(library, name.format("set")):
+                set_threads, get_threads = getattr(library, name.format("set")), getattr(library, name.format("get"))
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                found.append((set_threads, get_threads()))
+                set_threads(threads)
+                break
+    return found
 
 
 def _execute_jobs(tasks, jobs, settings, workers: int, progress: bool = False):
@@ -332,20 +332,22 @@ def _execute_jobs(tasks, jobs, settings, workers: int, progress: bool = False):
         return out
 
     try:
-        if workers <= 1 or len(jobs) <= 1:
-            return _collect(_run_job(job) for job in jobs)
-        if _threadpool_limits() is None:
-            print(
-                "warning: threadpoolctl is not installed, so the BLAS threads of the worker "
-                "processes are not pinned; without a limit in the environment (such as "
-                "OPENBLAS_NUM_THREADS=1) they may oversubscribe the cores",
-                file=sys.stderr,
-                flush=True,
-            )
+        pinned = _set_openblas_threads(1)
+        if not pinned:
+            print("warning: no OpenBLAS found to pin to one thread; the results may depend on the "
+                  "BLAS thread count", file=sys.stderr, flush=True)
+        try:
+            if workers <= 1 or len(jobs) <= 1:
+                return _collect(_run_job(job) for job in jobs)
+        finally:
+            # a library caller keeps its threads; with a pool, the parent only waits on the workers
+            for set_threads, count in pinned:
+                set_threads(count)
         chunk = max(1, len(jobs) // (workers * 8))
         # fork start method: workers inherit the task table set above
         context = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=workers, initializer=_limit_worker_blas, mp_context=context) as pool:
+        pool = ProcessPoolExecutor(workers, mp_context=context, initializer=_set_openblas_threads, initargs=(1,))
+        with pool:
             return _collect(pool.map(_run_job, jobs, chunksize=chunk))
     finally:
         _WORKER_TASKS = []

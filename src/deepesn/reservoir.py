@@ -37,6 +37,7 @@ from .topology import (
     ScalingSpec,
     Sparse,
     TopologyKind,
+    check_fan_in,
     make_chain_recurrent,
     make_input_matrix,
     make_interlayer_matrix,
@@ -64,6 +65,15 @@ def layer_sizes(total_units: int, num_layers: int) -> tuple[int, ...]:
     return tuple(base + 1 if i < rem else base for i in range(num_layers))
 
 
+def check_layout(total_units: int, num_layers: int, topology: TopologyKind, interlayer_fan_in=INTERLAYER_FAN_IN) -> None:
+    """Raise ValueError unless every matrix of such a reservoir can be drawn."""
+    sizes = layer_sizes(total_units, num_layers)
+    if isinstance(topology, Sparse):
+        check_fan_in(topology.fan_in, sizes[-1])  # the last layer is the smallest
+    if num_layers > 1:
+        check_fan_in(interlayer_fan_in, sizes[-2], "interlayer_fan_in")  # the smallest layer feeding another
+
+
 @dataclass(frozen=True)
 class ReservoirSpec:
     """Everything needed to build a deep reservoir deterministically."""
@@ -72,18 +82,13 @@ class ReservoirSpec:
     num_layers: int
     topology: TopologyKind
     scaling: ScalingSpec
-    input_dim: int = 1
     seed: int = 0
     interlayer_fan_in: int = INTERLAYER_FAN_IN
 
     def __post_init__(self):
-        layer_sizes(self.total_units, self.num_layers)  # validates the split
-        if self.input_dim < 1:
-            raise ValueError(f"input_dim must be at least 1, got {self.input_dim}")
+        check_layout(self.total_units, self.num_layers, self.topology, self.interlayer_fan_in)
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if self.interlayer_fan_in < 1:
-            raise ValueError("interlayer_fan_in must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -110,10 +115,6 @@ class DeepReservoir:
     def total_units(self) -> int:
         return int(sum(self.layer_sizes))
 
-    @property
-    def input_dim(self) -> int:
-        return int(self.input_weights.shape[1])
-
 
 def _make_recurrent(kind: TopologyKind, n: int, rho: float, rng: np.random.Generator) -> np.ndarray:
     if isinstance(kind, Sparse):
@@ -135,9 +136,7 @@ def build_reservoir(spec: ReservoirSpec) -> DeepReservoir:
     equal specs and does not depend on construction order.
     """
     sizes = layer_sizes(spec.total_units, spec.num_layers)
-    input_weights = make_input_matrix(
-        sizes[0], spec.input_dim, spec.scaling.omega_in, random_stream(spec.seed, _STREAM_INPUT, 0)
-    )
+    input_weights = make_input_matrix(sizes[0], spec.scaling.omega_in, random_stream(spec.seed, _STREAM_INPUT, 0))
     input_weights.setflags(write=False)
     layers = []
     for index, n in enumerate(sizes):
@@ -178,8 +177,8 @@ def run(reservoir: DeepReservoir, inputs: Sequence, initial_state: Optional[np.n
     u = np.asarray(inputs, dtype=float)
     if u.ndim == 1:
         u = u[:, None]
-    if u.ndim != 2 or u.shape[1] != reservoir.input_dim:
-        raise ValueError(f"inputs must be (steps, {reservoir.input_dim}), got shape {u.shape}")
+    if u.ndim != 2 or u.shape[1] != 1:
+        raise ValueError(f"inputs must be (steps,) or (steps, 1), got shape {u.shape}")
     if not np.all(np.isfinite(u)):
         raise ValueError("inputs must be finite")
     state0 = np.zeros(reservoir.total_units) if initial_state is None else np.asarray(initial_state, dtype=float)

@@ -82,9 +82,8 @@ class ScalingSpec:
     omega_il: float
 
     def __post_init__(self):
-        for label, value in (("rho", self.rho), ("omega_in", self.omega_in), ("omega_il", self.omega_il)):
-            if not np.isfinite(value) or value <= 0.0:
-                raise ValueError(f"{label} must be positive and finite, got {value!r}")
+        for label in ("rho", "omega_in", "omega_il"):
+            _require_positive(label, getattr(self, label))
 
 
 def random_stream(master_seed: int, *ids: int) -> np.random.Generator:
@@ -108,27 +107,28 @@ def _sparse_uniform(rows: int, cols: int, fan_in: int, rng: np.random.Generator)
     return out
 
 
-def make_sparse_recurrent(n: int, fan_in: int, rho: float, rng: np.random.Generator) -> np.ndarray:
-    """Sparse recurrent matrix with in-degree ``fan_in``, rescaled to spectral radius ``rho``.
-
-    A draw whose raw spectral radius is numerically zero cannot be rescaled;
-    it is rejected and redrawn from the same stream, up to a small number of
-    attempts.
-    """
-    if not 1 <= fan_in <= n:
-        raise ValueError(f"fan_in must be in [1, {n}], got {fan_in}")
-    if not np.isfinite(rho) or rho <= 0.0:
-        raise ValueError(f"rho must be positive and finite, got {rho!r}")
+def _draw_rescaled(draw, measure, target: float, label: str) -> np.ndarray:
+    """``draw()`` rescaled so that ``measure`` of it is ``target``; a numerically zero draw is redrawn."""
     for _ in range(_MAX_DRAW_ATTEMPTS):
-        raw = _sparse_uniform(n, n, fan_in, rng)
-        radius = spectral_radius(raw)
-        if radius >= _DEGENERATE_FLOOR:
-            raw *= rho / radius
+        raw = draw()
+        measured = measure(raw)
+        if measured >= _DEGENERATE_FLOOR:
+            raw *= target / measured
             return raw
-    raise DegenerateMatrixError(
-        f"sparse draw of size {n} with fan_in {fan_in} kept a near-zero spectral radius "
-        f"after {_MAX_DRAW_ATTEMPTS} attempts"
-    )
+    raise DegenerateMatrixError(f"{label} measured numerically zero in {_MAX_DRAW_ATTEMPTS} draws")
+
+
+def check_fan_in(fan_in: int, n: int, label: str = "fan_in") -> None:
+    """Raise ValueError unless ``n`` source units can give every row ``fan_in`` distinct inputs."""
+    if not 1 <= fan_in <= n:
+        raise ValueError(f"{label} must be in [1, {n}], got {fan_in}")
+
+
+def make_sparse_recurrent(n: int, fan_in: int, rho: float, rng: np.random.Generator) -> np.ndarray:
+    """Sparse recurrent matrix with in-degree ``fan_in``, rescaled to spectral radius ``rho``."""
+    check_fan_in(fan_in, n)
+    _require_positive("rho", rho)
+    return _draw_rescaled(lambda: _sparse_uniform(n, n, fan_in, rng), spectral_radius, rho, f"sparse {n}x{n} draw")
 
 
 def make_permutation_recurrent(n: int, weight: float, rng: np.random.Generator) -> np.ndarray:
@@ -142,12 +142,8 @@ def make_permutation_recurrent(n: int, weight: float, rng: np.random.Generator) 
 
 
 def make_ring_recurrent(n: int, weight: float) -> np.ndarray:
-    """Single-cycle matrix: sub-diagonal plus the top-right corner, all ``weight``."""
-    if n < 2:
-        raise ValueError(f"ring needs at least 2 units, got {n}")
-    _require_positive("weight", weight)
-    out = np.zeros((n, n))
-    out[np.arange(1, n), np.arange(0, n - 1)] = weight
+    """Single-cycle matrix: the chain plus the top-right corner, all ``weight``."""
+    out = make_chain_recurrent(n, weight)
     out[0, n - 1] = weight
     return out
 
@@ -159,41 +155,25 @@ def make_chain_recurrent(n: int, weight: float) -> np.ndarray:
     so a chain layer shares the search space of the other topologies.
     """
     if n < 2:
-        raise ValueError(f"chain needs at least 2 units, got {n}")
+        raise ValueError(f"a chain or ring needs at least 2 units, got {n}")
     _require_positive("weight", weight)
     out = np.zeros((n, n))
     out[np.arange(1, n), np.arange(0, n - 1)] = weight
     return out
 
 
-def make_input_matrix(n_r: int, n_u: int, omega_in: float, rng: np.random.Generator) -> np.ndarray:
-    """Dense uniform [-1, 1] matrix rescaled so its 2-norm equals ``omega_in``."""
-    if n_r < 1 or n_u < 1:
-        raise ValueError(f"matrix dimensions must be positive, got {n_r}x{n_u}")
+def make_input_matrix(n_r: int, omega_in: float, rng: np.random.Generator) -> np.ndarray:
+    """Dense uniform [-1, 1] ``(n_r, 1)`` column rescaled so its 2-norm equals ``omega_in``."""
     _require_positive("omega_in", omega_in)
-    for _ in range(_MAX_DRAW_ATTEMPTS):
-        raw = rng.uniform(-1.0, 1.0, size=(n_r, n_u))
-        norm = operator_norm(raw)
-        if norm >= _DEGENERATE_FLOOR:
-            raw *= omega_in / norm
-            return raw
-    raise DegenerateMatrixError(f"input draw of size {n_r}x{n_u} was numerically zero")
+    return _draw_rescaled(lambda: rng.uniform(-1.0, 1.0, size=(n_r, 1)), operator_norm, omega_in, f"input {n_r}x1 draw")
 
 
 def make_interlayer_matrix(n_to: int, n_from: int, fan_in: int, omega_il: float, rng: np.random.Generator) -> np.ndarray:
     """Layer-to-layer matrix: ``fan_in`` non-zeros per row, 2-norm rescaled to ``omega_il``."""
-    if not 1 <= fan_in <= n_from:
-        raise ValueError(f"fan_in must be in [1, {n_from}], got {fan_in}")
-    if n_to < 1:
-        raise ValueError(f"n_to must be positive, got {n_to}")
+    check_fan_in(fan_in, n_from)
     _require_positive("omega_il", omega_il)
-    for _ in range(_MAX_DRAW_ATTEMPTS):
-        raw = _sparse_uniform(n_to, n_from, fan_in, rng)
-        norm = operator_norm(raw)
-        if norm >= _DEGENERATE_FLOOR:
-            raw *= omega_il / norm
-            return raw
-    raise DegenerateMatrixError(f"inter-layer draw of size {n_to}x{n_from} was numerically zero")
+    return _draw_rescaled(lambda: _sparse_uniform(n_to, n_from, fan_in, rng), operator_norm, omega_il,
+                          f"inter-layer {n_to}x{n_from} draw")
 
 
 def spectral_radius(m: np.ndarray) -> float:

@@ -24,6 +24,26 @@ def run_cli(argv, capsys):
     return code, captured.out, captured.err
 
 
+def with_overrides(argv, overrides):
+    argv = list(argv)
+    for flag, value in overrides.items():
+        argv[argv.index(flag) + 1] = value
+    return argv
+
+
+def assert_rejected_before_any_work(argv, capsys, monkeypatch):
+    """The command exits as a usage error without making any data."""
+    import deepesn.cli as cli_module
+
+    def no_data(*args, **kwargs):
+        raise AssertionError("data was made")
+
+    monkeypatch.setattr(cli_module, "make_task", no_data)
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2
+    assert "no trial can run" in err
+
+
 class TestGenerate:
     def test_writes_series_and_metadata(self, tmp_path, capsys):
         code, out, _ = run_cli(
@@ -49,6 +69,12 @@ class TestGenerate:
         code, _, err = run_cli(["generate", "laser", "--out", str(tmp_path)], capsys)
         assert code == 2
         assert "cannot be generated" in err
+
+    @pytest.mark.parametrize("overrides", [{"--washout": "220"}, {"--length": "300"}], ids=["no-fit-range", "short"])
+    def test_unrunnable_split_is_rejected_before_any_work(self, overrides, tmp_path, capsys, monkeypatch):
+        argv = with_overrides(["generate", "narma10", "--out", str(tmp_path), *TINY], overrides)
+        assert_rejected_before_any_work(argv, capsys, monkeypatch)
+        assert not list(tmp_path.iterdir())
 
     def test_narma_retries_diverging_seed(self, tmp_path, capsys, monkeypatch):
         import deepesn.cli as cli_module
@@ -79,6 +105,15 @@ EVAL_ARGS = [
     "--rho", "0.9", "--omega-in", "0.5", "--omega-il", "0.5",
     "--guesses", "2", "--seed", "7", "--units", "20", "--fan-in", "3", *TINY,
 ]
+
+# TINY's split has 600 steps, 300 of them for training, so every case fails one rule
+EVAL_UNRUNNABLE = {
+    "fewer-units-than-layers": {"--layers": "5", "--units": "3"},
+    "no-fit-range": {"--washout": "220"},
+    "series-too-short": {"--length": "300"},
+    "sparse-fan-in": {"--topology": "sparse", "--fan-in": "9", "--layers": "1", "--units": "5"},
+    "interlayer-fan-in": {"--units": "8"},  # two ring layers of 4 units, inter-layer fan-in 5
+}
 
 
 class TestEval:
@@ -122,6 +157,12 @@ class TestEval:
             outputs.append(out)
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("overrides", EVAL_UNRUNNABLE.values(), ids=EVAL_UNRUNNABLE.keys())
+    def test_unrunnable_combination_is_rejected_before_any_work(self, overrides, tmp_path, capsys, monkeypatch):
+        argv = with_overrides(EVAL_ARGS + ["--out", str(tmp_path)], overrides)
+        assert_rejected_before_any_work(argv, capsys, monkeypatch)
+        assert not (tmp_path / "eval_result.txt").exists()
+
     def test_negative_rho_rejected_by_parser(self, capsys):
         argv = EVAL_ARGS.copy()
         argv[argv.index("--rho") + 1] = "-0.5"
@@ -135,6 +176,14 @@ BENCH_ARGS = [
     "--configs", "2", "--guesses", "2", "--layers", "2", "--units", "20",
     "--seed", "9", "--quiet", *TINY,
 ]
+
+BENCH_UNRUNNABLE = {
+    "fewer-units-than-layers": {"--topologies": "ring", "--layers": "5", "--units": "3"},
+    "no-fit-range": {"--washout": "220"},
+    "series-too-short": {"--length": "300"},
+    "sparse-fan-in": {"--units": "4"},  # the shallow sparse layer, fan-in 5
+    "interlayer-fan-in": {"--topologies": "ring", "--units": "8"},
+}
 
 
 class TestBenchmark:
@@ -194,6 +243,12 @@ class TestBenchmark:
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
+        assert not (tmp_path / "report.txt").exists()
+
+    @pytest.mark.parametrize("overrides", BENCH_UNRUNNABLE.values(), ids=BENCH_UNRUNNABLE.keys())
+    def test_unrunnable_combination_is_rejected_before_any_work(self, overrides, tmp_path, capsys, monkeypatch):
+        argv = with_overrides(BENCH_ARGS + ["--out", str(tmp_path)], overrides)
+        assert_rejected_before_any_work(argv, capsys, monkeypatch)
         assert not (tmp_path / "report.txt").exists()
 
     def test_unknown_task_rejected(self, tmp_path, capsys):

@@ -1,11 +1,15 @@
 """Search protocol: sampling, trial scoring, selection, determinism, logs."""
 
+import os
+import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import deepesn
 from deepesn import (
     Dataset,
     Ring,
@@ -24,9 +28,10 @@ from deepesn import (
     sample_config,
     trial_log_table,
 )
-from deepesn.experiment import _execute_jobs, _plan_search, select_best
+from deepesn.experiment import _execute_jobs, _plan_search, _set_openblas_threads, select_best
 
 TINY_SPACE = SearchSpace(configs_per_layer=2, guesses=2, layer_counts=(2,))
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "GOTO_NUM_THREADS")
 
 
 @pytest.fixture(scope="module")
@@ -207,10 +212,53 @@ class TestBenchmarkSuite:
             reordered[original] = shuffled[position]
         assert reordered == in_order
 
-    def test_unpinned_worker_blas_is_reported_once(self, tiny_task, capsys, monkeypatch):
-        monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # its import now raises ImportError
-        self.suite(tiny_task, replace(TINY_SPACE, guesses=1), workers=2)
-        assert capsys.readouterr().err.count("BLAS threads of the worker processes are not pinned") == 1
+    def test_trial_log_independent_of_workers_and_blas_environment(self, tmp_path):
+        # at 500 units the readout's BLAS calls split over threads, which moves the MSEs' last digits
+        src = str(Path(deepesn.__file__).resolve().parent.parent)
+        env = {key: value for key, value in os.environ.items() if key not in BLAS_THREAD_VARIABLES}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        logs = []
+        for index, (workers, extra) in enumerate([("1", {}), ("2", {}), ("1", {"OPENBLAS_NUM_THREADS": "1"})]):
+            out = tmp_path / str(index)
+            proc = subprocess.run(
+                [sys.executable, "-m", "deepesn.cli", "benchmark", "--tasks", "narma10",
+                 "--topologies", "permutation,sparse", "--configs", "1", "--guesses", "1", "--layers", "2",
+                 "--length", "3000", "--train-len", "1500", "--validation-len", "300",
+                 "--workers", workers, "--quiet", "--out", str(out)],
+                capture_output=True, text=True, env={**env, **extra}, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert "OpenBLAS" not in proc.stderr
+            logs.append((out / "trials.tsv").read_bytes())
+        assert logs[0] == logs[1] == logs[2]
+
+    def test_serial_search_pins_blas_then_restores_it(self, tiny_task, monkeypatch):
+        before = _set_openblas_threads(2)
+        if not before:
+            pytest.skip("no OpenBLAS is loaded")
+        during = []
+
+        def recording(*args, **kwargs):
+            during.extend(count for _, count in _set_openblas_threads(1))
+            return evaluate_trial(*args, **kwargs)
+
+        monkeypatch.setattr("deepesn.experiment.evaluate_trial", recording)
+        try:
+            self.suite(tiny_task, replace(TINY_SPACE, guesses=1))
+            after = [count for _, count in _set_openblas_threads(2)]
+        finally:
+            for set_threads, count in before:
+                set_threads(count)
+        assert during and set(during) == {1}
+        assert after == [2] * len(before)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_missing_openblas_is_reported_once(self, tiny_task, capsys, monkeypatch, workers):
+        monkeypatch.setattr("deepesn.experiment._set_openblas_threads", lambda threads: [])
+        report = self.suite(tiny_task, replace(TINY_SPACE, guesses=1), workers=workers)
+        assert not report.failures
+        assert all(entry.deep.selected is not None for entry in report.entries)
+        assert capsys.readouterr().err.count("no OpenBLAS found") == 1
 
     def test_deep_with_single_layer_equals_shallow(self, tiny_task):
         report = run_benchmark_suite(

@@ -30,7 +30,6 @@ def small_spec(**overrides):
         num_layers=3,
         topology=Sparse(fan_in=3),
         scaling=SCALING,
-        input_dim=1,
         seed=5,
         interlayer_fan_in=3,
     )
@@ -110,8 +109,6 @@ class TestBuildReservoir:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             small_spec(total_units=2, num_layers=3)
-        with pytest.raises(ValueError):
-            small_spec(input_dim=0)
         with pytest.raises(ValueError):
             small_spec(seed=-1)
 

@@ -171,19 +171,19 @@ class TestChainRecurrent:
 
 class TestInputMatrix:
     def test_one_by_one(self):
-        m = make_input_matrix(1, 1, 1.3, random_stream(3))
+        m = make_input_matrix(1, 1.3, random_stream(3))
         assert abs(m[0, 0]) == pytest.approx(1.3, abs=1e-12)
 
     def test_column_vector_norm(self):
-        m = make_input_matrix(500, 1, 0.6, random_stream(1, 9))
+        m = make_input_matrix(500, 0.6, random_stream(1, 9))
         assert np.linalg.norm(m) == pytest.approx(0.6, abs=1e-8)
 
     def test_svd_oracle(self):
-        m = make_input_matrix(10, 2, 0.7, random_stream(12))
+        m = make_input_matrix(10, 0.7, random_stream(12))
         assert svd_norm(m) == pytest.approx(0.7, abs=1e-8)
 
     def test_dense(self):
-        m = make_input_matrix(20, 3, 1.0, random_stream(2))
+        m = make_input_matrix(20, 1.0, random_stream(2))
         assert np.count_nonzero(m) == m.size
 
 
