@@ -39,7 +39,6 @@ LASER_PATH_ENV = "DEEPESN_LASER_PATH"
 GENERATED_TASKS = ("narma10", "mg17", "mg30")
 ALL_TASKS = GENERATED_TASKS + ("laser",)
 ALL_TOPOLOGIES = ("sparse", "permutation", "ring", "chain")
-SEARCH_RHO_MAX = 1.0
 
 
 class UsageError(Exception):
@@ -67,15 +66,21 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _csv(text: str) -> list[str]:
-    items = [item.strip() for item in text.split(",") if item.strip()]
-    if not items:
-        raise argparse.ArgumentTypeError("expected a comma-separated list")
-    return items
+def _comma_list(convert=str, names=(), kind="item"):
+    """argparse type: a comma list of distinct items, each converted and, given ``names``, one of them."""
 
+    def comma_list(text: str) -> tuple:
+        items = tuple(convert(item.strip()) for item in text.split(",") if item.strip())
+        if not items:
+            raise argparse.ArgumentTypeError("expected a comma-separated list")
+        for item in items:
+            if names and item not in names:
+                raise argparse.ArgumentTypeError(f"unknown {kind} {item!r}; expected one of {', '.join(names)}")
+        if len(set(items)) < len(items):
+            raise argparse.ArgumentTypeError(f"repeated {kind} in {text!r}")
+        return items
 
-def _positive_int_csv(text: str) -> tuple[int, ...]:
-    return tuple(_positive_int(item) for item in _csv(text))
+    return comma_list
 
 
 def _reject_unrunnable(args, task_names, topologies, layer_counts) -> None:
@@ -182,9 +187,10 @@ def cmd_generate(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if args.rho > SEARCH_RHO_MAX:
+    low, high = FULL_BUDGET.rho_range
+    if args.rho > high:
         print(
-            f"warning: rho={args.rho} is above the usual search range (0.1, {SEARCH_RHO_MAX}]; "
+            f"warning: rho={args.rho} is above the usual search range ({low}, {high}]; "
             "dynamics may be unstable",
             file=sys.stderr,
         )
@@ -318,14 +324,15 @@ def build_parser() -> argparse.ArgumentParser:
     ev.set_defaults(func=cmd_eval)
 
     bench = commands.add_parser("benchmark", help="random-search benchmark over tasks and topologies")
-    bench.add_argument("--tasks", type=_csv, default=list(GENERATED_TASKS),
+    bench.add_argument("--tasks", type=_comma_list(names=ALL_TASKS, kind="task"), default=GENERATED_TASKS,
                        help=f"comma-separated tasks from: {', '.join(ALL_TASKS)}")
-    bench.add_argument("--topologies", type=_csv, default=list(ALL_TOPOLOGIES))
+    bench.add_argument("--topologies", type=_comma_list(names=ALL_TOPOLOGIES, kind="topology"),
+                       default=ALL_TOPOLOGIES, help=f"comma-separated topologies from: {', '.join(ALL_TOPOLOGIES)}")
     bench.add_argument("--budget", choices=("full", "reduced"), default="full",
                        help="full: 50 configs x 10 guesses; reduced: 10 x 3")
     bench.add_argument("--configs", type=_positive_int, default=None, help="override configs per layer count")
     bench.add_argument("--guesses", type=_positive_int, default=None, help="override guesses per config")
-    bench.add_argument("--layers", type=_positive_int_csv, default=None,
+    bench.add_argument("--layers", type=_comma_list(_positive_int, kind="layer count"), default=None,
                        help="override deep layer counts, e.g. 2,3")
     bench.add_argument("--seed", type=_nonnegative_int, default=42, help="master seed")
     bench.add_argument("--data-seed", type=_nonnegative_int, default=1)

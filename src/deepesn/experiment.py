@@ -22,6 +22,8 @@ import struct
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -60,6 +62,8 @@ class SearchSpace:
             raise ValueError("configs_per_layer and guesses must be at least 1")
         if not self.layer_counts or any(l < 1 for l in self.layer_counts):
             raise ValueError("layer_counts must be non-empty positive integers")
+        if len(set(self.layer_counts)) != len(self.layer_counts):
+            raise ValueError(f"layer_counts must not repeat, got {self.layer_counts}")
 
 
 FULL_BUDGET = SearchSpace()
@@ -109,49 +113,47 @@ def _topology_parts(kind: TopologyKind) -> tuple[str, int]:
 
 @dataclass(frozen=True)
 class TrialResult:
-    """Aggregated outcome of one hyperparameter configuration."""
+    """Per-guess MSEs of one hyperparameter configuration; the statistics derive from them.
+
+    A trial has failed when it has no guesses or any non-finite MSE; its
+    statistics are then NaN.  The std is the population std over the guesses.
+    """
 
     task: str
     topology: str
     num_layers: int
     config_index: int
     hyper: ScalingSpec
-    guesses: int
     validation_mses: tuple[float, ...]
     test_mses: tuple[float, ...]
-    validation_mse_mean: float
-    validation_mse_std: float
-    test_mse_mean: float
-    test_mse_std: float
-    failed: bool
     note: str = ""
 
-    @classmethod
-    def from_guesses(cls, *, task, topology, num_layers, config_index, hyper, validation_mses, test_mses, note=""):
-        val = np.asarray(validation_mses, dtype=float)
-        tst = np.asarray(test_mses, dtype=float)
-        failed = bool(val.size == 0 or not (np.all(np.isfinite(val)) and np.all(np.isfinite(tst))))
-        if failed or val.size == 0:
-            stats = (float("nan"),) * 4
-        else:
-            # population (not sample) std over the guesses
-            stats = (float(val.mean()), float(val.std()), float(tst.mean()), float(tst.std()))
-        return cls(
-            task=task,
-            topology=topology,
-            num_layers=num_layers,
-            config_index=config_index,
-            hyper=hyper,
-            guesses=int(val.size),
-            validation_mses=tuple(float(v) for v in val),
-            test_mses=tuple(float(v) for v in tst),
-            validation_mse_mean=stats[0],
-            validation_mse_std=stats[1],
-            test_mse_mean=stats[2],
-            test_mse_std=stats[3],
-            failed=failed,
-            note=note,
-        )
+    @property
+    def guesses(self) -> int:
+        return len(self.validation_mses)
+
+    @cached_property
+    def failed(self) -> bool:
+        return not self.validation_mses or not np.all(np.isfinite(self.validation_mses + self.test_mses))
+
+    def _statistic(self, values, reduce) -> float:
+        return float("nan") if self.failed else float(reduce(values))
+
+    @cached_property
+    def validation_mse_mean(self) -> float:
+        return self._statistic(self.validation_mses, np.mean)
+
+    @cached_property
+    def validation_mse_std(self) -> float:
+        return self._statistic(self.validation_mses, np.std)
+
+    @cached_property
+    def test_mse_mean(self) -> float:
+        return self._statistic(self.test_mses, np.mean)
+
+    @cached_property
+    def test_mse_std(self) -> float:
+        return self._statistic(self.test_mses, np.std)
 
 
 def evaluate_trial(
@@ -195,15 +197,7 @@ def evaluate_trial(
         val_mses.append(readout.mse(states[fit_end:train_end] @ val_fit, targets[fit_end:train_end]))
         test_fit = readout.train_pseudo_inverse(states[washout:train_end], targets[washout:train_end])
         test_mses.append(readout.mse(states[train_end:] @ test_fit, targets[train_end:]))
-    return TrialResult.from_guesses(
-        task=task.name,
-        topology=topo_name,
-        num_layers=num_layers,
-        config_index=config_index,
-        hyper=hyper,
-        validation_mses=val_mses,
-        test_mses=test_mses,
-    )
+    return TrialResult(task.name, topo_name, num_layers, config_index, hyper, tuple(val_mses), tuple(test_mses))
 
 
 def select_best(trials) -> TrialResult | None:
@@ -216,14 +210,14 @@ def select_best(trials) -> TrialResult | None:
 
 @dataclass(frozen=True)
 class SearchResult:
-    """All trials of one (task, topology, group) search plus its selection."""
+    """All trials of one shallow or deep search, in plan order."""
 
-    task: str
-    topology: str
     group: str
-    layer_counts: tuple[int, ...]
     trials: tuple[TrialResult, ...]
-    selected: TrialResult | None
+
+    @property
+    def selected(self) -> TrialResult | None:
+        return select_best(self.trials)
 
 
 @dataclass(frozen=True)
@@ -238,11 +232,16 @@ class BenchmarkEntry:
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    """Every benchmark entry plus protocol metadata and isolated failures."""
+    """Every benchmark entry plus protocol metadata."""
 
     entries: tuple[BenchmarkEntry, ...]
     metadata: dict = field(default_factory=dict)
-    failures: tuple[str, ...] = ()
+
+    @property
+    def failures(self) -> tuple[str, ...]:
+        """The note of every trial that raised, in plan order."""
+        searches = (result for entry in self.entries for result in (entry.shallow, entry.deep))
+        return tuple(trial.note for result in searches for trial in result.trials if trial.note)
 
 
 @dataclass(frozen=True)
@@ -251,7 +250,6 @@ class _Job:
 
     task_index: int
     topology: TopologyKind
-    group: str
     num_layers: int
     config_index: int
     hyper: ScalingSpec
@@ -262,11 +260,11 @@ _WORKER_TASKS: list[Dataset] = []
 _WORKER_SETTINGS: dict = {}
 
 
-def _run_job(job: _Job):
+def _run_job(job: _Job) -> TrialResult:
     task = _WORKER_TASKS[job.task_index]
     settings = _WORKER_SETTINGS
     try:
-        trial = evaluate_trial(
+        return evaluate_trial(
             task,
             job.topology,
             job.num_layers,
@@ -276,24 +274,10 @@ def _run_job(job: _Job):
             total_units=settings["total_units"],
             config_index=job.config_index,
         )
-        return trial, None
     except Exception as exc:  # isolate a broken trial instead of aborting the suite
         topo_name, _ = _topology_parts(job.topology)
-        failure = (
-            f"{task.name}/{topo_name}/L={job.num_layers}/config={job.config_index}: "
-            f"{type(exc).__name__}: {exc}"
-        )
-        trial = TrialResult.from_guesses(
-            task=task.name,
-            topology=topo_name,
-            num_layers=job.num_layers,
-            config_index=job.config_index,
-            hyper=job.hyper,
-            validation_mses=(),
-            test_mses=(),
-            note=failure,
-        )
-        return trial, failure
+        note = f"{task.name}/{topo_name}/L={job.num_layers}/config={job.config_index}: {type(exc).__name__}: {exc}"
+        return TrialResult(task.name, topo_name, job.num_layers, job.config_index, job.hyper, (), (), note)
 
 
 def _set_openblas_threads(threads: int) -> list:
@@ -354,7 +338,7 @@ def _execute_jobs(tasks, jobs, settings, workers: int, progress: bool = False):
         _WORKER_SETTINGS = {}
 
 
-def _plan_search(task: Dataset, task_index: int, topology: TopologyKind, group: str, space: SearchSpace, master_seed: int):
+def _plan_search(task: Dataset, task_index: int, topology: TopologyKind, space: SearchSpace, master_seed: int):
     """Deterministic trial plan: each config has its own derived sampling stream."""
     topo_name, fan_in = _topology_parts(topology)
     jobs = []
@@ -362,7 +346,7 @@ def _plan_search(task: Dataset, task_index: int, topology: TopologyKind, group: 
         key = derive_seed(master_seed, "config", task.name, topo_name, fan_in, num_layers)
         for index in range(space.configs_per_layer):
             hyper = sample_config(space, random_stream(key, index))
-            jobs.append(_Job(task_index, topology, group, num_layers, index, hyper))
+            jobs.append(_Job(task_index, topology, num_layers, index, hyper))
     return jobs
 
 
@@ -382,45 +366,21 @@ def run_benchmark_suite(
     topologies = [parse_topology(t) if isinstance(t, str) else t for t in topologies]
     shallow_space = replace(space, layer_counts=(1,))
 
-    plan: list[_Job] = []
-    for task_index, task in enumerate(tasks):
-        for topology in topologies:
-            plan.extend(_plan_search(task, task_index, topology, SHALLOW_GROUP, shallow_space, master_seed))
-            plan.extend(_plan_search(task, task_index, topology, DEEP_GROUP, space, master_seed))
-
-    settings = {
-        "guesses": space.guesses,
-        "master_seed": master_seed,
-        "total_units": total_units,
-    }
-    outcomes = _execute_jobs(tasks, plan, settings, workers, progress=progress)
-
-    failures = [failure for _, failure in outcomes if failure is not None]
-    entries = []
-    cursor = 0
-    for task_index, task in enumerate(tasks):
-        for topology in topologies:
-            groups = {}
-            for group, spc in ((SHALLOW_GROUP, shallow_space), (DEEP_GROUP, space)):
-                count = len(spc.layer_counts) * spc.configs_per_layer
-                trials = tuple(trial for trial, _ in outcomes[cursor:cursor + count])
-                cursor += count
-                groups[group] = SearchResult(
-                    task=task.name,
-                    topology=topology_name(topology),
-                    group=group,
-                    layer_counts=tuple(spc.layer_counts),
-                    trials=trials,
-                    selected=select_best(trials),
-                )
-            entries.append(
-                BenchmarkEntry(
-                    task=task.name,
-                    topology=topology_name(topology),
-                    shallow=groups[SHALLOW_GROUP],
-                    deep=groups[DEEP_GROUP],
-                )
-            )
+    searches = [
+        (task, topology, group, _plan_search(task, task_index, topology, group_space, master_seed))
+        for task_index, task in enumerate(tasks)
+        for topology in topologies
+        for group, group_space in ((SHALLOW_GROUP, shallow_space), (DEEP_GROUP, space))
+    ]
+    settings = {"guesses": space.guesses, "master_seed": master_seed, "total_units": total_units}
+    plan = [job for *_, jobs in searches for job in jobs]
+    outcomes = iter(_execute_jobs(tasks, plan, settings, workers, progress=progress))
+    results = [SearchResult(group, tuple(islice(outcomes, len(jobs)))) for _, _, group, jobs in searches]
+    # searches alternate shallow, deep for each (task, topology)
+    entries = tuple(
+        BenchmarkEntry(task=task.name, topology=topology_name(topology), shallow=shallow, deep=deep)
+        for (task, topology, _, _), shallow, deep in zip(searches[::2], results[::2], results[1::2])
+    )
 
     meta = {
         "master_seed": str(master_seed),
@@ -440,7 +400,7 @@ def run_benchmark_suite(
     }
     if metadata:
         meta.update({str(k): str(v) for k, v in metadata.items()})
-    return ExperimentReport(entries=tuple(entries), metadata=meta, failures=tuple(failures))
+    return ExperimentReport(entries=entries, metadata=meta)
 
 
 def _format_mse(mean: float, std: float) -> str:
@@ -504,8 +464,8 @@ def trial_log_table(report: ExperimentReport) -> str:
     lines = ["\t".join(_LOG_COLUMNS)]
     for entry in report.entries:
         for result in (entry.shallow, entry.deep):
+            selected = result.selected  # once per search: select_best scans every trial
             for trial in result.trials:
-                selected = result.selected is not None and trial is result.selected
                 row = (
                     trial.task,
                     trial.topology,
@@ -523,7 +483,7 @@ def trial_log_table(report: ExperimentReport) -> str:
                     repr(trial.test_mse_std),
                     ",".join(repr(v) for v in trial.validation_mses),
                     ",".join(repr(v) for v in trial.test_mses),
-                    "1" if selected else "0",
+                    "1" if trial is selected else "0",
                 )
                 lines.append("\t".join(row))
     return "\n".join(lines) + "\n"

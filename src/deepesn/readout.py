@@ -7,13 +7,13 @@ import numpy as np
 DEFAULT_RCOND = 1e-12
 
 
-def train_pseudo_inverse(states, targets, rcond: float = DEFAULT_RCOND) -> np.ndarray:
+def train_pseudo_inverse(states, targets) -> np.ndarray:
     """Minimum-norm least-squares readout via SVD pseudo-inversion.
 
     ``states`` holds one post-washout global state per row and ``targets``
     the matching target rows (1-D for a single output).  Returns the
     ``(width, outputs)`` matrix ``w``, so ``states @ w`` predicts.  Singular
-    values below ``rcond`` times the largest are treated as zero.
+    values below ``DEFAULT_RCOND`` times the largest are treated as zero.
 
     Raises ``ValueError`` on an empty, row-mismatched or non-finite
     problem, where ``np.linalg.lstsq`` alone would return zeros or NaN.
@@ -28,7 +28,7 @@ def train_pseudo_inverse(states, targets, rcond: float = DEFAULT_RCOND) -> np.nd
         raise ValueError("regression problem is empty")
     if not (np.all(np.isfinite(states)) and np.all(np.isfinite(targets))):
         raise ValueError("regression problem contains non-finite entries")
-    return np.linalg.lstsq(states, targets, rcond=rcond)[0]
+    return np.linalg.lstsq(states, targets, rcond=DEFAULT_RCOND)[0]
 
 
 def mse(predictions, targets) -> float:

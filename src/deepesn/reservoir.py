@@ -37,6 +37,7 @@ from .topology import (
     ScalingSpec,
     Sparse,
     TopologyKind,
+    check_chain_size,
     check_fan_in,
     make_chain_recurrent,
     make_input_matrix,
@@ -70,6 +71,8 @@ def check_layout(total_units: int, num_layers: int, topology: TopologyKind, inte
     sizes = layer_sizes(total_units, num_layers)
     if isinstance(topology, Sparse):
         check_fan_in(topology.fan_in, sizes[-1])  # the last layer is the smallest
+    if isinstance(topology, (Ring, Chain)):
+        check_chain_size(sizes[-1])
     if num_layers > 1:
         check_fan_in(interlayer_fan_in, sizes[-2], "interlayer_fan_in")  # the smallest layer feeding another
 

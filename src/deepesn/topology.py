@@ -124,6 +124,12 @@ def check_fan_in(fan_in: int, n: int, label: str = "fan_in") -> None:
         raise ValueError(f"{label} must be in [1, {n}], got {fan_in}")
 
 
+def check_chain_size(n: int) -> None:
+    """Raise ValueError unless ``n`` units can form a chain or ring."""
+    if n < 2:
+        raise ValueError(f"a chain or ring needs at least 2 units, got {n}")
+
+
 def make_sparse_recurrent(n: int, fan_in: int, rho: float, rng: np.random.Generator) -> np.ndarray:
     """Sparse recurrent matrix with in-degree ``fan_in``, rescaled to spectral radius ``rho``."""
     check_fan_in(fan_in, n)
@@ -154,8 +160,7 @@ def make_chain_recurrent(n: int, weight: float) -> np.ndarray:
     The scaling hyperparameter is still applied as the sub-diagonal weight,
     so a chain layer shares the search space of the other topologies.
     """
-    if n < 2:
-        raise ValueError(f"a chain or ring needs at least 2 units, got {n}")
+    check_chain_size(n)
     _require_positive("weight", weight)
     out = np.zeros((n, n))
     out[np.arange(1, n), np.arange(0, n - 1)] = weight

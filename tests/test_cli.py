@@ -113,6 +113,7 @@ EVAL_UNRUNNABLE = {
     "series-too-short": {"--length": "300"},
     "sparse-fan-in": {"--topology": "sparse", "--fan-in": "9", "--layers": "1", "--units": "5"},
     "interlayer-fan-in": {"--units": "8"},  # two ring layers of 4 units, inter-layer fan-in 5
+    "ring-single-unit": {"--layers": "1", "--units": "1"},
 }
 
 
@@ -183,6 +184,17 @@ BENCH_UNRUNNABLE = {
     "series-too-short": {"--length": "300"},
     "sparse-fan-in": {"--units": "4"},  # the shallow sparse layer, fan-in 5
     "interlayer-fan-in": {"--topologies": "ring", "--units": "8"},
+    "ring-single-unit": {"--topologies": "ring", "--layers": "1", "--units": "1"},
+}
+
+# each list holds an unknown or a repeated name, which argparse rejects
+BENCH_BAD_LISTS = {
+    "unknown-topology": {"--topologies": "nonsense"},
+    "unknown-task": {"--tasks": "nonsense"},
+    "repeated-layers": {"--layers": "2,2"},
+    "repeated-layers-spelled-apart": {"--layers": "2,02"},
+    "repeated-topology": {"--topologies": "ring,ring"},
+    "repeated-task": {"--tasks": "narma10,narma10"},
 }
 
 
@@ -252,14 +264,28 @@ class TestBenchmark:
         assert not (tmp_path / "report.txt").exists()
 
     def test_unknown_task_rejected(self, tmp_path, capsys):
-        code, _, err = run_cli(
-            ["benchmark", "--tasks", "nonsense", "--topologies", "ring", "--configs", "1",
-             "--guesses", "1", "--layers", "2", "--units", "20", "--quiet",
-             "--out", str(tmp_path), *TINY],
-            capsys,
-        )
-        assert code == 1
-        assert "unknown task" in err
+        with pytest.raises(SystemExit) as excinfo:
+            main(["benchmark", "--tasks", "nonsense", "--topologies", "ring", "--configs", "1",
+                  "--guesses", "1", "--layers", "2", "--units", "20", "--quiet",
+                  "--out", str(tmp_path), *TINY])
+        assert excinfo.value.code == 2
+        assert "unknown task" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides", BENCH_BAD_LISTS.values(), ids=BENCH_BAD_LISTS.keys())
+    def test_unknown_or_repeated_name_is_a_usage_error(self, overrides, tmp_path, capsys, monkeypatch):
+        import deepesn.cli as cli_module
+
+        def no_data(*args, **kwargs):
+            raise AssertionError("data was made")
+
+        monkeypatch.setattr(cli_module, "make_task", no_data)
+        argv = with_overrides(BENCH_ARGS + ["--out", str(tmp_path)], overrides)
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "unknown" in err or "repeated" in err
+        assert not (tmp_path / "report.txt").exists()
 
 
 def test_module_entry_point_runs_main():

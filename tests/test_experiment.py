@@ -1,5 +1,6 @@
 """Search protocol: sampling, trial scoring, selection, determinism, logs."""
 
+import math
 import os
 import subprocess
 import sys
@@ -8,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import deepesn
 from deepesn import (
@@ -40,16 +43,51 @@ def tiny_task():
 
 
 def make_trial(task="t", topology="sparse", layers=1, config=0, val=1.0, test=1.0, failed=False):
-    hyper = ScalingSpec(0.5, 0.5, 0.5)
-    if failed:
-        return TrialResult.from_guesses(
-            task=task, topology=topology, num_layers=layers, config_index=config,
-            hyper=hyper, validation_mses=(float("nan"),), test_mses=(1.0,),
-        )
-    return TrialResult.from_guesses(
-        task=task, topology=topology, num_layers=layers, config_index=config,
-        hyper=hyper, validation_mses=(val,), test_mses=(test,),
-    )
+    validation_mses = (float("nan"),) if failed else (val,)
+    return TrialResult(task, topology, layers, config, ScalingSpec(0.5, 0.5, 0.5), validation_mses, (test,))
+
+
+def statistics(trial):
+    return (trial.validation_mse_mean, trial.validation_mse_std, trial.test_mse_mean, trial.test_mse_std)
+
+
+@st.composite
+def guess_mses(draw):
+    """Validation and test MSE lists of 2-6 guesses; sometimes one entry is NaN or infinite."""
+    lists = [draw(st.lists(st.floats(0.0, 1e3), min_size=2, max_size=6)) for _ in range(2)]
+    bad = draw(st.sampled_from([None, math.nan, math.inf, -math.inf]))
+    if bad is not None:
+        target = lists[draw(st.integers(0, 1))]
+        target[draw(st.integers(0, len(target) - 1))] = bad
+    return tuple(lists[0]), tuple(lists[1])
+
+
+class TestTrialResult:
+    @staticmethod
+    def oracle(val, test):
+        """(failed, statistics) with the population std; NaN statistics for a failed trial."""
+        if not val or not all(math.isfinite(v) for v in val + test):
+            return True, (math.nan,) * 4
+        return False, (np.mean(val), np.std(val, ddof=0), np.mean(test), np.std(test, ddof=0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(guess_mses(), guess_mses())
+    def test_statistics_derive_from_the_guesses(self, mses, other):
+        val, test = mses
+        trial = replace(make_trial(), validation_mses=val, test_mses=test)
+        # the trial's values are cached before the replaced trial derives its own
+        for current, test_mses in ((trial, test), (replace(trial, test_mses=other[1]), other[1])):
+            failed, expected = self.oracle(val, test_mses)
+            assert current.failed is failed
+            assert current.guesses == len(val)
+            np.testing.assert_array_equal(statistics(current), expected)
+
+    def test_no_guesses_is_a_failure(self):
+        trial = replace(make_trial(), validation_mses=(), test_mses=())
+        assert trial.failed
+        assert trial.guesses == 0
+        assert np.isnan(statistics(trial)).all()
+        assert select_best([trial]) is None
 
 
 class TestSampleConfig:
@@ -77,6 +115,8 @@ class TestSampleConfig:
             SearchSpace(configs_per_layer=0)
         with pytest.raises(ValueError):
             SearchSpace(layer_counts=())
+        with pytest.raises(ValueError):
+            SearchSpace(layer_counts=(2, 3, 2))
 
 
 class TestDeriveSeed:
@@ -164,7 +204,8 @@ class TestSelection:
     def test_rescaling_test_mses_keeps_selection(self):
         trials = [make_trial(config=i, val=v, test=t)
                   for i, (v, t) in enumerate([(3.0, 5.0), (1.0, 9.0), (2.0, 1.0)])]
-        scaled = [replace(t, test_mse_mean=t.test_mse_mean * 100.0) for t in trials]
+        scaled = [replace(t, test_mses=tuple(v * 100.0 for v in t.test_mses)) for t in trials]
+        assert [t.test_mse_mean for t in scaled] == [500.0, 900.0, 100.0]
         assert select_best(trials).config_index == select_best(scaled).config_index == 1
 
 
@@ -183,8 +224,7 @@ class TestBenchmarkSuite:
             assert len(report.entries) == 2
             assert not report.failures
             for entry in report.entries:
-                assert entry.shallow.layer_counts == (1,)
-                assert entry.deep.layer_counts == space.layer_counts
+                assert {t.num_layers for t in entry.shallow.trials} == {1}
                 # the plan covers the budget: every config at every layer count
                 assert len(entry.shallow.trials) == space.configs_per_layer
                 assert len(entry.deep.trials) == space.configs_per_layer * len(space.layer_counts)
@@ -201,7 +241,7 @@ class TestBenchmarkSuite:
 
         # the executor run on a shuffled plan gives the same outcome for every job
         space = replace(TINY_SPACE, layer_counts=(1, 2))
-        plan = [job for kind in (Sparse(3), Ring()) for job in _plan_search(tiny_task, 0, kind, "deep", space, 7)]
+        plan = [job for kind in (Sparse(3), Ring()) for job in _plan_search(tiny_task, 0, kind, space, 7)]
         settings = dict(guesses=2, master_seed=7, total_units=20)
         in_order = _execute_jobs([tiny_task], plan, settings, workers=1)
         order = np.random.default_rng(12345).permutation(len(plan))
@@ -259,6 +299,40 @@ class TestBenchmarkSuite:
         assert not report.failures
         assert all(entry.deep.selected is not None for entry in report.entries)
         assert capsys.readouterr().err.count("no OpenBLAS found") == 1
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_raising_trial_is_isolated_and_logged(self, tiny_task, tmp_path, monkeypatch, workers):
+        def broken_second_config(*args, config_index=0, **kwargs):
+            if config_index == 1:
+                raise RuntimeError("broken config")
+            return evaluate_trial(*args, config_index=config_index, **kwargs)
+
+        # forked workers inherit the patch
+        monkeypatch.setattr("deepesn.experiment.evaluate_trial", broken_second_config)
+        report = self.suite(tiny_task, workers=workers)
+        broken = [(topology, layers) for topology in ("sparse", "ring") for layers in (1, 2)]  # plan order
+        notes = tuple(f"narma10/{t}/L={l}/config=1: RuntimeError: broken config" for t, l in broken)
+        assert report.failures == notes
+        for entry in report.entries:
+            for result in (entry.shallow, entry.deep):
+                good, bad = result.trials
+                assert bad.failed and not good.failed
+                assert bad.guesses == 0
+                assert np.isnan(statistics(bad)).all()
+                assert select_best(result.trials) is good
+                assert result.selected is good
+        text = format_report(report)
+        assert text.endswith("\n".join(["isolated failures:"] + [f"  {note}" for note in notes]) + "\n")
+
+        log_path = tmp_path / "trials.tsv"
+        log_path.write_text(trial_log_table(report), encoding="ascii")
+        rows = [row for row in load_trial_log(log_path) if row["failed"]]
+        assert [(row["topology"], row["layers"], row["config"]) for row in rows] == [(t, l, 1) for t, l in broken]
+        for row in rows:
+            assert row["guesses"] == 0
+            assert row["val_mses"] == row["test_mses"] == ()
+            assert not row["selected"]
+            assert np.isnan([row["val_mse_mean"], row["val_mse_std"], row["test_mse_mean"], row["test_mse_std"]]).all()
 
     def test_deep_with_single_layer_equals_shallow(self, tiny_task):
         report = run_benchmark_suite(

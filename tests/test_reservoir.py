@@ -111,6 +111,8 @@ class TestBuildReservoir:
             small_spec(total_units=2, num_layers=3)
         with pytest.raises(ValueError):
             small_spec(seed=-1)
+        with pytest.raises(ValueError, match="at least 2 units"):
+            small_spec(total_units=1, num_layers=1, topology=Ring())
 
 
 def manual_two_layer():
