@@ -173,7 +173,9 @@ def evaluate_trial(
     (master seed, topology, layer count, hyperparameters, guess index), runs
     it once over the whole series, then fits two readouts on post-washout
     rows: one on the fit range scored on the validation range, and one on
-    the full training range scored on the test range.
+    the full training range scored on the test range.  The training range
+    extends the fit range, so both readouts come from one call that
+    factorizes each training row once.
     """
     if guesses < 1:
         raise ValueError(f"guesses must be at least 1, got {guesses}")
@@ -193,9 +195,10 @@ def evaluate_trial(
         )
         spec = ReservoirSpec(total_units=total_units, num_layers=num_layers, topology=topology, scaling=hyper, seed=seed)
         states = run(build_reservoir(spec), task.inputs)
-        val_fit = readout.train_pseudo_inverse(states[washout:fit_end], targets[washout:fit_end])
+        val_fit, test_fit = readout.train_pseudo_inverse(
+            states[washout:train_end], targets[washout:train_end], (fit_end - washout, train_end - washout)
+        )
         val_mses.append(readout.mse(states[fit_end:train_end] @ val_fit, targets[fit_end:train_end]))
-        test_fit = readout.train_pseudo_inverse(states[washout:train_end], targets[washout:train_end])
         test_mses.append(readout.mse(states[train_end:] @ test_fit, targets[train_end:]))
     return TrialResult(task.name, topo_name, num_layers, config_index, hyper, tuple(val_mses), tuple(test_mses))
 

@@ -7,16 +7,27 @@ import numpy as np
 DEFAULT_RCOND = 1e-12
 
 
-def train_pseudo_inverse(states, targets) -> np.ndarray:
-    """Minimum-norm least-squares readout via SVD pseudo-inversion.
+def train_pseudo_inverse(states, targets, row_ends=None) -> list[np.ndarray]:
+    """Minimum-norm least-squares readouts on nested row prefixes.
 
     ``states`` holds one post-washout global state per row and ``targets``
-    the matching target rows (1-D for a single output).  Returns the
-    ``(width, outputs)`` matrix ``w``, so ``states @ w`` predicts.  Singular
+    the matching target rows (1-D for a single output).  ``row_ends`` lists
+    increasing prefix ends (default: all rows); for each end ``e`` the
+    readout is fitted on rows ``[0, e)``.  Returns one ``(width, outputs)``
+    matrix ``w`` per end, so ``states @ w`` predicts.
+
+    Each readout is the minimum-norm least-squares solution: singular
     values below ``DEFAULT_RCOND`` times the largest are treated as zero.
+    It is solved on the triangle ``r`` of a QR factorization of the
+    prefix's ``[states | targets]`` rows.  ``r`` has the prefix's singular
+    values, and ``r[:, :width] @ w - r[:, width:]`` has the prefix's
+    residual norm for every ``w``, so the solution is the prefix's.  Each
+    factorization takes the previous prefix's triangle in place of its
+    rows, so every row is factorized once, however many prefixes hold it.
 
     Raises ``ValueError`` on an empty, row-mismatched or non-finite
-    problem, where ``np.linalg.lstsq`` alone would return zeros or NaN.
+    problem, where ``np.linalg.lstsq`` alone would return zeros or NaN, and
+    on row ends that are empty, not increasing, below 1 or past the last row.
     """
     states = np.asarray(states, dtype=float)
     targets = _as_rows(targets, "targets")
@@ -28,7 +39,26 @@ def train_pseudo_inverse(states, targets) -> np.ndarray:
         raise ValueError("regression problem is empty")
     if not (np.all(np.isfinite(states)) and np.all(np.isfinite(targets))):
         raise ValueError("regression problem contains non-finite entries")
-    return np.linalg.lstsq(states, targets, rcond=DEFAULT_RCOND)[0]
+    ends = (states.shape[0],) if row_ends is None else tuple(row_ends)
+    starts = (0,) + ends[:-1]
+    if not ends or any(b <= a for a, b in zip(starts, ends)) or ends[-1] > states.shape[0]:
+        raise ValueError(f"row ends must increase from above 0 to at most {states.shape[0]}, got {row_ends}")
+
+    width = states.shape[1]
+    columns = width + targets.shape[1]
+    # one buffer for every stage: the carried triangle (at most `columns` rows), then the new rows
+    block = np.empty((columns + max(b - a for a, b in zip(starts, ends)), columns))
+    carried = 0
+    fits = []
+    for start, end in zip(starts, ends):
+        rows = carried + end - start
+        block[carried:rows, :width] = states[start:end]
+        block[carried:rows, width:] = targets[start:end]
+        r = np.linalg.qr(block[:rows], mode="r")
+        fits.append(np.linalg.lstsq(r[:, :width], r[:, width:], rcond=DEFAULT_RCOND)[0])
+        carried = r.shape[0]
+        block[:carried] = r
+    return fits
 
 
 def mse(predictions, targets) -> float:

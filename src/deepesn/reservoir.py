@@ -20,6 +20,14 @@ where ``R_l`` is the layer's recurrent matrix and ``V_l`` its inbound
 ``l`` steps late.  Every layer then depends only on the previous skewed
 step, so the whole stack is one sparse block-bidiagonal matrix and each
 step is one sparse product and one ``tanh``, whatever the depth.
+
+The product is computed by ``csr_matvec`` from the private module
+``scipy.sparse._sparsetools``: the CSR kernel behind ``stack @ x``, called
+directly because it adds into an array the caller passes.  Each step writes
+straight into its zeroed row of the state array, which skips the result
+allocation and argument checks of ``stack @ x``, about half of its cost per
+step at 500 units.  The kernel sums each row's products in stored order
+from zero, as ``stack @ x`` does, so the states are unchanged.
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 import scipy.sparse
+from scipy.sparse._sparsetools import csr_matvec
 
 from .topology import (
     Chain,
@@ -167,15 +176,19 @@ def run(reservoir: DeepReservoir, inputs: Sequence, initial_state: Optional[np.n
     The result has one row per input step and one column per unit, the
     layers' states side by side in layer order: ``(steps, total_units)``.
 
-    The run starts from the null state unless ``initial_state``, a
-    concatenated state of length ``total_units``, is given.
+    The run starts from the null state unless ``initial_state``, a finite
+    concatenated state of length ``total_units``, is given.  Raises
+    ``ValueError`` on inputs of another shape, or on non-finite inputs or
+    initial state.
 
     Layer ``l`` (from 0) is computed ``l`` steps late, so that at skewed
     step ``s`` it sees its own state and that of the layer below, both
     from step ``s - 1``.  One product with the block-bidiagonal ``stack``
-    matrix and one ``tanh`` then advance every layer at once.  Layers that
-    have not started yet are held at their initial state, and the skew is
-    undone before the states are returned.
+    matrix, written into the zeroed row of step ``s``, then the input drive
+    of the first layer, added to that row, and one ``tanh`` in place
+    advance every layer at once.  Layers that have not started yet are held
+    at their initial state, and the skew is undone before the states are
+    returned.
     """
     u = np.asarray(inputs, dtype=float)
     if u.ndim == 1:
@@ -187,11 +200,14 @@ def run(reservoir: DeepReservoir, inputs: Sequence, initial_state: Optional[np.n
     state0 = np.zeros(reservoir.total_units) if initial_state is None else np.asarray(initial_state, dtype=float)
     if state0.shape != (reservoir.total_units,):
         raise ValueError(f"initial state must have length {reservoir.total_units}, got {state0.shape}")
+    if not np.all(np.isfinite(state0)):
+        raise ValueError("initial state must be finite")
 
     sizes = reservoir.layer_sizes
     offsets = np.cumsum((0,) + sizes)
     num_layers = len(sizes)
     steps = u.shape[0]
+    n = offsets[-1]
 
     # recurrent matrices on the diagonal, inbound ones just below it
     blocks = [[None] * num_layers for _ in range(num_layers)]
@@ -200,18 +216,19 @@ def run(reservoir: DeepReservoir, inputs: Sequence, initial_state: Optional[np.n
         if l > 0:
             blocks[l][l - 1] = scipy.sparse.csr_array(lw.inbound)
     stack = scipy.sparse.block_array(blocks, format="csr")
-    input_proj = u @ reservoir.input_weights.T  # (steps, n_1), hoisted out of the loop
+    w_in = reservoir.input_weights[:, 0]
 
-    skewed = np.empty((steps + num_layers - 1, offsets[-1]))
+    skewed = np.zeros((steps + num_layers - 1, n))
     prev = state0
     for s in range(skewed.shape[0]):
-        pre = stack @ prev
+        row = skewed[s]
+        csr_matvec(n, n, stack.indptr, stack.indices, stack.data, prev, row)  # row += stack @ prev
         if s < steps:
-            pre[:sizes[0]] += input_proj[s]
-        np.tanh(pre, out=skewed[s])
+            row[:sizes[0]] += w_in * u[s, 0]
+        np.tanh(row, out=row)
         if s < num_layers - 1:  # layers above s have not started yet
-            skewed[s, offsets[s + 1]:] = state0[offsets[s + 1]:]
-        prev = skewed[s]
+            row[offsets[s + 1]:] = state0[offsets[s + 1]:]
+        prev = row
     for l in range(1, num_layers):  # undo the skew: move each layer's block up by its lag
         skewed[:steps, offsets[l]:offsets[l + 1]] = skewed[l:l + steps, offsets[l]:offsets[l + 1]]
     return skewed[:steps]

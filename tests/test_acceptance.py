@@ -93,7 +93,7 @@ def test_c03_pseudo_inverse_matches_normal_equations():
         cols = int(rng.integers(10, 60))
         states = rng.standard_normal((rows, cols))
         targets = rng.standard_normal((rows, 1))
-        fitted = d.train_pseudo_inverse(states, targets)
+        [fitted] = d.train_pseudo_inverse(states, targets)
         oracle = np.linalg.solve(states.T @ states, states.T @ targets)
         assert np.abs(fitted - oracle).max() <= 1e-8
 
@@ -104,7 +104,7 @@ def test_c03_noiseless_linear_training_error():
         states = rng.standard_normal((120, 20))
         coefs = rng.standard_normal((1, 20))
         targets = states @ coefs.T
-        fitted = d.train_pseudo_inverse(states, targets)
+        [fitted] = d.train_pseudo_inverse(states, targets)
         assert d.mse(states @ fitted, targets) <= 1e-18
 
 

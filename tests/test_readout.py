@@ -1,9 +1,11 @@
-"""Readout training against the normal-equations oracle, plus scoring."""
+"""Readout training against the normal-equations and lstsq oracles, plus scoring."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from deepesn import mse, train_pseudo_inverse
+from deepesn import DEFAULT_RCOND, mse, train_pseudo_inverse
 
 
 def normal_equations(states, targets):
@@ -14,7 +16,7 @@ def normal_equations(states, targets):
 
 class TestTrainPseudoInverse:
     def test_identity_design(self):
-        w = train_pseudo_inverse(np.eye(3), np.array([1.0, 2.0, 3.0]))
+        [w] = train_pseudo_inverse(np.eye(3), np.array([1.0, 2.0, 3.0]))
         assert w.shape == (3, 1)
         assert np.allclose(w, [[1.0], [2.0], [3.0]], atol=1e-12)
 
@@ -23,7 +25,7 @@ class TestTrainPseudoInverse:
         states = rng.standard_normal((50, 8))
         coefs = rng.standard_normal(8)
         targets = states @ coefs
-        w = train_pseudo_inverse(states, targets)
+        [w] = train_pseudo_inverse(states, targets)
         assert np.allclose(w.ravel(), coefs, atol=1e-10)
         assert mse(states @ w, targets) <= 1e-20
 
@@ -31,14 +33,14 @@ class TestTrainPseudoInverse:
         rng = np.random.default_rng(7)
         states = rng.standard_normal((200, 50))
         targets = rng.standard_normal((200, 2))
-        w = train_pseudo_inverse(states, targets)
+        [w] = train_pseudo_inverse(states, targets)
         assert np.allclose(w, normal_equations(states, targets), atol=1e-8)
 
     def test_least_squares_optimality(self):
         rng = np.random.default_rng(11)
         states = rng.standard_normal((80, 12))
         targets = rng.standard_normal(80)
-        w = train_pseudo_inverse(states, targets)
+        [w] = train_pseudo_inverse(states, targets)
         base = mse(states @ w, targets)
         for magnitude in (1e-6, 1e-3, 1e-1):
             delta = rng.standard_normal(w.shape) * magnitude
@@ -50,7 +52,7 @@ class TestTrainPseudoInverse:
         base = rng.standard_normal((40, 6))
         states = np.hstack([base, base[:, :3]])  # duplicated columns: rank 6 of 9
         targets = rng.standard_normal(40)
-        w = train_pseudo_inverse(states, targets)
+        [w] = train_pseudo_inverse(states, targets)
         # tiny-ridge oracle approaches the minimum-norm solution from above
         ridge_oracle = np.linalg.solve(states.T @ states + 1e-10 * np.eye(9), states.T @ targets[:, None])
         assert np.linalg.norm(w) <= np.linalg.norm(ridge_oracle) * (1.0 + 1e-6)
@@ -67,6 +69,48 @@ class TestTrainPseudoInverse:
             train_pseudo_inverse(np.full((4, 3), np.nan), np.zeros(4))
         with pytest.raises(ValueError):
             train_pseudo_inverse(np.ones((4, 3)), np.array([0.0, np.inf, 0.0, 0.0]))
+        # row ends: empty, zero, not increasing, past the last row
+        for row_ends in ((), (0,), (2, 2), (3, 2), (5,), (2, 5)):
+            with pytest.raises(ValueError):
+                train_pseudo_inverse(np.ones((4, 3)), np.zeros(4), row_ends)
+
+
+@st.composite
+def nested_problems(draw):
+    """Tall, wide and column-rank-deficient problems with 1-3 nested prefixes."""
+    rows = draw(st.integers(1, 30))
+    base = draw(st.integers(1, 10))
+    duplicated = draw(st.integers(0, min(base, 3)))  # copies of leading columns: rank-deficient when rows > base
+    outputs = draw(st.sampled_from([None, 1, 3]))  # None: 1-D targets
+    row_ends = sorted(draw(st.sets(st.integers(1, rows), min_size=1, max_size=3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = rng.standard_normal((rows, base))
+    states = np.hstack([columns, columns[:, :duplicated]])
+    targets = rng.standard_normal(rows if outputs is None else (rows, outputs))
+    return states, targets, row_ends
+
+
+class TestNestedPrefixes:
+    """Every prefix's readout is the one lstsq fits on that prefix alone."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(nested_problems())
+    def test_each_prefix_matches_lstsq(self, problem):
+        states, targets, row_ends = problem
+        fits = train_pseudo_inverse(states, targets, row_ends)
+        assert len(fits) == len(row_ends)
+        targets = targets.reshape(len(targets), -1)
+        for end, w in zip(row_ends, fits):
+            a, y = states[:end], targets[:end]
+            ref = np.linalg.lstsq(a, y, rcond=DEFAULT_RCOND)[0]
+            assert w.shape == ref.shape
+            singular = np.linalg.svd(a, compute_uv=False)
+            if singular[-1] > 1e-3 * singular[0]:  # well conditioned
+                assert np.allclose(w, ref, rtol=1e-8, atol=1e-8)
+            else:  # rank-deficient: the same fit, and no larger a readout
+                scale = 1.0 + np.linalg.norm(y)
+                assert abs(np.linalg.norm(a @ w - y) - np.linalg.norm(a @ ref - y)) <= 1e-8 * scale
+                assert np.linalg.norm(w) <= np.linalg.norm(ref) * (1.0 + 1e-8) + 1e-12
 
 
 class TestPredict:
@@ -75,7 +119,7 @@ class TestPredict:
     def test_consistency_with_training(self):
         states = np.eye(3)
         targets = np.array([1.0, 2.0, 3.0])
-        w = train_pseudo_inverse(states, targets)
+        [w] = train_pseudo_inverse(states, targets)
         assert np.allclose((states @ w).ravel(), targets, atol=1e-12)
 
 
@@ -114,5 +158,5 @@ def test_predict_after_train_on_noiseless_trajectory():
     states = np.tanh(rng.standard_normal((30, 5)))
     coefs = rng.standard_normal((1, 5))
     targets = states @ coefs.T
-    w = train_pseudo_inverse(states[3:], targets[3:])
+    [w] = train_pseudo_inverse(states[3:], targets[3:])
     assert mse(states[3:] @ w, targets[3:]) <= 1e-10

@@ -230,6 +230,15 @@ class TestRunFromState:
         with pytest.raises(ValueError):
             run(res, np.ones(4), initial_state=np.zeros(7))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_initial_state_must_be_finite(self, bad):
+        # unchecked, NaN propagates to every state and inf saturates its units to exactly +-1
+        res = build_reservoir(small_spec())
+        start = np.zeros(24)
+        start[5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            run(res, np.ones(4), initial_state=start)
+
     def test_permutation_contraction_per_step(self):
         # single layer, weight 0.9: the state gap must shrink by at least 0.9 per step
         spec = small_spec(num_layers=1, total_units=40, topology=Permutation())
