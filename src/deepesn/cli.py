@@ -10,7 +10,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import __version__
@@ -83,11 +83,16 @@ def _comma_list(convert=str, names=(), kind="item"):
     return comma_list
 
 
+def _split(args) -> dict:
+    """The ``Dataset`` split keywords given on the command line."""
+    return dict(train_len=args.train_len, washout=args.washout, validation_len=args.validation_len)
+
+
 def _reject_unrunnable(args, task_names, topologies, layer_counts) -> None:
     """Raise UsageError, before any work, for argument combinations that no trial can run."""
     length = args.length if set(task_names) & set(GENERATED_TASKS) else None
     try:
-        check_split(args.train_len, args.washout, args.validation_len, length)
+        check_split(**_split(args), length=length)
         for topology in topologies:
             for num_layers in layer_counts:
                 check_layout(args.units, num_layers, topology)
@@ -99,27 +104,18 @@ def _mg_params(task: str) -> MGParams:
     return MGParams(tau=17.0) if task == "mg17" else MGParams(tau=30.0)
 
 
-def make_task(
-    name: str,
-    *,
-    seed: int,
-    length: int,
-    laser_path: str | None = None,
-    train_len: int = 5000,
-    washout: int = 100,
-    validation_len: int = 1000,
-) -> tuple[Dataset, dict]:
-    """Build one benchmark dataset plus its generator metadata.
+def make_task(name: str, *, seed: int, length: int, laser_path: str | None = None, **split) -> tuple[Dataset, dict]:
+    """Build one benchmark dataset, with ``split`` passed to :class:`Dataset`, plus its generator metadata.
 
     NARMA10 occasionally diverges for an unlucky seed; the next seed is
-    tried (and recorded) until generation succeeds.
+    tried (and recorded) until generation succeeds.  The laser file is
+    ``laser_path``, else the one named by the environment.
     """
-    splits = dict(train_len=train_len, washout=washout, validation_len=validation_len)
     if name == "narma10":
         attempt = seed
         while True:
             try:
-                dataset = generate_narma10(length, attempt, **splits)
+                dataset = generate_narma10(length, attempt, **split)
                 break
             except DivergenceError:
                 print(f"warning: narma10 seed {attempt} diverged, retrying with {attempt + 1}",
@@ -129,22 +125,16 @@ def make_task(
         return dataset, meta
     if name in ("mg17", "mg30"):
         params = _mg_params(name)
-        dataset = generate_mackey_glass(params, length, name=name, **splits)
-        meta = {
-            f"dataset.{name}.tau": params.tau,
-            f"dataset.{name}.step": params.step,
-            f"dataset.{name}.subsample": params.subsample,
-            f"dataset.{name}.initial_history": params.initial_history,
-            f"dataset.{name}.discard": params.discard,
-            f"dataset.{name}.length": length,
-        }
+        dataset = generate_mackey_glass(params, length, name=name, **split)
+        meta = {f"dataset.{name}.{key}": value for key, value in {**asdict(params), "length": length}.items()}
         return dataset, meta
     if name == "laser":
+        laser_path = laser_path or os.environ.get(LASER_PATH_ENV)
         if not laser_path:
             raise UsageError(
                 f"the laser task needs a data file: pass --laser-path or set {LASER_PATH_ENV}"
             )
-        dataset = load_laser(laser_path, **splits)
+        dataset = load_laser(laser_path, **split)
         return dataset, {"dataset.laser.path": str(laser_path), "dataset.laser.samples": len(dataset) + 1}
     raise UsageError(f"unknown task {name!r}; expected one of {', '.join(ALL_TASKS)}")
 
@@ -156,14 +146,7 @@ def cmd_generate(args) -> int:
             "point --laser-path (or the environment) at an existing file instead"
         )
     _reject_unrunnable(args, [args.task], [], [])
-    dataset, meta = make_task(
-        args.task,
-        seed=args.seed,
-        length=args.length,
-        train_len=args.train_len,
-        washout=args.washout,
-        validation_len=args.validation_len,
-    )
+    dataset, meta = make_task(args.task, seed=args.seed, length=args.length, **_split(args))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     inputs_path = out / f"{args.task}_inputs.txt"
@@ -173,11 +156,7 @@ def cmd_generate(args) -> int:
     sidecar = {
         "task": args.task,
         "generator": {str(k): v for k, v in meta.items()},
-        "splits": {
-            "train_len": dataset.train_len,
-            "washout": dataset.washout,
-            "validation_len": dataset.validation_len,
-        },
+        "splits": _split(args),
         "tool": f"deepesn {__version__}",
     }
     meta_path = out / f"{args.task}_meta.json"
@@ -196,15 +175,8 @@ def cmd_eval(args) -> int:
         )
     topology = parse_topology(args.topology, fan_in=args.fan_in)
     _reject_unrunnable(args, [args.task], [topology], [args.layers])
-    laser_path = args.laser_path or os.environ.get(LASER_PATH_ENV)
     dataset, _ = make_task(
-        args.task,
-        seed=args.data_seed,
-        length=args.length,
-        laser_path=laser_path,
-        train_len=args.train_len,
-        washout=args.washout,
-        validation_len=args.validation_len,
+        args.task, seed=args.data_seed, length=args.length, laser_path=args.laser_path, **_split(args)
     )
     hyper = ScalingSpec(rho=args.rho, omega_in=args.omega_in, omega_il=args.omega_il)
     trial = evaluate_trial(
@@ -239,18 +211,11 @@ def cmd_benchmark(args) -> int:
     topologies = [parse_topology(name) for name in args.topologies]
     _reject_unrunnable(args, args.tasks, topologies, (1,) + space.layer_counts)  # 1: the shallow search
 
-    laser_path = args.laser_path or os.environ.get(LASER_PATH_ENV)
     tasks, metadata, partial = [], {}, False
     for name in args.tasks:
         try:
             dataset, meta = make_task(
-                name,
-                seed=args.data_seed,
-                length=args.length,
-                laser_path=laser_path,
-                train_len=args.train_len,
-                washout=args.washout,
-                validation_len=args.validation_len,
+                name, seed=args.data_seed, length=args.length, laser_path=args.laser_path, **_split(args)
             )
         except (UsageError, OSError, ValueError) as exc:
             print(f"warning: skipping task {name}: {exc}", file=sys.stderr)
@@ -294,9 +259,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_split_flags(sub):
         sub.add_argument("--length", type=_positive_int, default=10000, help="series length in steps")
-        sub.add_argument("--train-len", type=_positive_int, default=5000, help="training split length")
-        sub.add_argument("--washout", type=_nonnegative_int, default=100, help="initial steps excluded from fits")
-        sub.add_argument("--validation-len", type=_positive_int, default=1000,
+        sub.add_argument("--train-len", type=_positive_int, default=Dataset.train_len, help="training split length")
+        sub.add_argument("--washout", type=_nonnegative_int, default=Dataset.washout,
+                         help="initial steps excluded from fits")
+        sub.add_argument("--validation-len", type=_positive_int, default=Dataset.validation_len,
                          help="validation tail of the training split")
 
     gen = commands.add_parser("generate", help="write a generated task to disk as text series")

@@ -4,7 +4,10 @@ All tasks are univariate next-value problems packaged as a :class:`Dataset`
 holding the input series, the aligned targets and the split geometry
 (training prefix, validation tail of the training split, washout length).
 NARMA10 and Mackey-Glass are generated; the laser series is measured data
-loaded from a user-supplied text file (one intensity per line).
+loaded from a user-supplied text file (one intensity per line).  Every task
+builder passes its ``**split`` keywords (``train_len``, ``washout``,
+``validation_len``) to :class:`Dataset` unchanged, so the field defaults
+there are the only ones.
 """
 
 from __future__ import annotations
@@ -103,14 +106,7 @@ def narma10_targets(inputs) -> np.ndarray:
     return out
 
 
-def generate_narma10(
-    length: int = 10000,
-    seed: int = 0,
-    *,
-    train_len: int = 5000,
-    washout: int = 100,
-    validation_len: int = 1000,
-) -> Dataset:
+def generate_narma10(length: int = 10000, seed: int = 0, **split) -> Dataset:
     """NARMA10 task: inputs i.i.d. uniform on [0, 0.5], targets from the recurrence.
 
     Rare input draws make the recurrence diverge; those raise
@@ -125,9 +121,7 @@ def generate_narma10(
         targets = narma10_targets(inputs)
     except DivergenceError:
         raise DivergenceError(f"NARMA10 generation diverged for seed {seed}", seed=seed) from None
-    return Dataset(
-        "narma10", inputs, targets, train_len=train_len, washout=washout, validation_len=validation_len
-    )
+    return Dataset("narma10", inputs, targets, **split)
 
 
 @dataclass(frozen=True)
@@ -185,36 +179,17 @@ def mackey_glass_raw(params: MGParams, count: int) -> np.ndarray:
 
 
 def generate_mackey_glass(
-    params: MGParams = MGParams(),
-    length: int = 10000,
-    *,
-    train_len: int = 5000,
-    washout: int = 100,
-    validation_len: int = 1000,
-    name: str | None = None,
+    params: MGParams = MGParams(), length: int = 10000, *, name: str | None = None, **split
 ) -> Dataset:
     """Mackey-Glass next-step task on the squashed series tanh(u - 1)."""
     if length < 2:
         raise ValueError(f"length must be at least 2, got {length}")
     raw = mackey_glass_raw(params, length + 1)
     squashed = np.tanh(raw - 1.0)
-    return Dataset(
-        name or f"mg{params.tau:g}",
-        squashed[:-1],
-        squashed[1:],
-        train_len=train_len,
-        washout=washout,
-        validation_len=validation_len,
-    )
+    return Dataset(name or f"mg{params.tau:g}", squashed[:-1], squashed[1:], **split)
 
 
-def load_laser(
-    path,
-    *,
-    train_len: int = 5000,
-    washout: int = 100,
-    validation_len: int = 1000,
-) -> Dataset:
+def load_laser(path, **split) -> Dataset:
     """Load the laser intensity recording and build its next-step task.
 
     The file holds one numeric intensity per line; values are scaled by
@@ -241,14 +216,7 @@ def load_laser(
             stacklevel=2,
         )
     scaled = np.asarray(values, dtype=float) * 0.01
-    return Dataset(
-        "laser",
-        scaled[:-1],
-        scaled[1:],
-        train_len=train_len,
-        washout=washout,
-        validation_len=validation_len,
-    )
+    return Dataset("laser", scaled[:-1], scaled[1:], **split)
 
 
 def save_series(values, path) -> None:

@@ -75,7 +75,7 @@ def layer_sizes(total_units: int, num_layers: int) -> tuple[int, ...]:
     return tuple(base + 1 if i < rem else base for i in range(num_layers))
 
 
-def check_layout(total_units: int, num_layers: int, topology: TopologyKind, interlayer_fan_in=INTERLAYER_FAN_IN) -> None:
+def check_layout(total_units: int, num_layers: int, topology: TopologyKind) -> None:
     """Raise ValueError unless every matrix of such a reservoir can be drawn."""
     sizes = layer_sizes(total_units, num_layers)
     if isinstance(topology, Sparse):
@@ -83,7 +83,7 @@ def check_layout(total_units: int, num_layers: int, topology: TopologyKind, inte
     if isinstance(topology, (Ring, Chain)):
         check_chain_size(sizes[-1])
     if num_layers > 1:
-        check_fan_in(interlayer_fan_in, sizes[-2], "interlayer_fan_in")  # the smallest layer feeding another
+        check_fan_in(INTERLAYER_FAN_IN, sizes[-2], "interlayer_fan_in")  # the smallest layer feeding another
 
 
 @dataclass(frozen=True)
@@ -95,10 +95,9 @@ class ReservoirSpec:
     topology: TopologyKind
     scaling: ScalingSpec
     seed: int = 0
-    interlayer_fan_in: int = INTERLAYER_FAN_IN
 
     def __post_init__(self):
-        check_layout(self.total_units, self.num_layers, self.topology, self.interlayer_fan_in)
+        check_layout(self.total_units, self.num_layers, self.topology)
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 
@@ -161,7 +160,7 @@ def build_reservoir(spec: ReservoirSpec) -> DeepReservoir:
             inbound = make_interlayer_matrix(
                 n,
                 sizes[index - 1],
-                spec.interlayer_fan_in,
+                INTERLAYER_FAN_IN,
                 spec.scaling.omega_il,
                 random_stream(spec.seed, _STREAM_INBOUND, index),
             )

@@ -11,7 +11,7 @@ import pytest
 
 import deepesn
 from deepesn import save_series
-from deepesn.cli import LASER_PATH_ENV, main
+from deepesn.cli import LASER_PATH_ENV, main, make_task
 
 TINY = [
     "--length", "600", "--train-len", "300", "--washout", "20", "--validation-len", "80",
@@ -42,6 +42,21 @@ def assert_rejected_before_any_work(argv, capsys, monkeypatch):
     code, _, err = run_cli(argv, capsys)
     assert code == 2
     assert "no trial can run" in err
+
+
+class TestMakeTask:
+    @pytest.mark.parametrize("name, lines", [
+        ("narma10", ["dataset.narma10.seed = 3", "dataset.narma10.length = 600"]),
+        *[(f"mg{tau}", [f"dataset.mg{tau}.tau = {tau}.0", f"dataset.mg{tau}.step = 0.1",
+                        f"dataset.mg{tau}.subsample = 10", f"dataset.mg{tau}.initial_history = 1.2",
+                        f"dataset.mg{tau}.discard = 1000", f"dataset.mg{tau}.length = 600"])
+          for tau in (17, 30)],
+    ])
+    def test_metadata_keys_order_and_values(self, name, lines):
+        # the report prints each entry as "key = value", in this order
+        dataset, meta = make_task(name, seed=3, length=600, train_len=300, washout=20, validation_len=80)
+        assert [f"{key} = {value}" for key, value in meta.items()] == lines
+        assert (dataset.name, dataset.train_len, dataset.washout, dataset.validation_len) == (name, 300, 20, 80)
 
 
 class TestGenerate:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from deepesn import (
     Chain,
     DeepReservoir,
+    INTERLAYER_FAN_IN,
     DegenerateMatrixError,
     LayerWeights,
     Permutation,
@@ -31,7 +32,6 @@ def small_spec(**overrides):
         topology=Sparse(fan_in=3),
         scaling=SCALING,
         seed=5,
-        interlayer_fan_in=3,
     )
     base.update(overrides)
     return ReservoirSpec(**base)
@@ -128,7 +128,8 @@ def manual_two_layer():
 def reference_cases(draw):
     """A small deep reservoir, an input run (possibly shorter than the stack) and an optional start state."""
     num_layers = draw(st.integers(1, 5))
-    smallest = draw(st.integers(2, 6))
+    # a layer that feeds another needs room for the inter-layer fan-in
+    smallest = draw(st.integers(2 if num_layers == 1 else INTERLAYER_FAN_IN, 8))
     total_units = num_layers * smallest + draw(st.integers(0, num_layers - 1))
     topology = parse_topology(draw(st.sampled_from(["sparse", "permutation", "ring", "chain"])),
                               fan_in=draw(st.integers(1, smallest)))
@@ -139,7 +140,6 @@ def reference_cases(draw):
         scaling=ScalingSpec(rho=draw(st.floats(0.1, 1.5)), omega_in=draw(st.floats(0.1, 2.0)),
                             omega_il=draw(st.floats(0.1, 2.0))),
         seed=draw(st.integers(0, 2**32 - 1)),
-        interlayer_fan_in=draw(st.integers(1, smallest)),
     )
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     inputs = rng.uniform(-1.0, 1.0, size=draw(st.integers(1, 30)))
