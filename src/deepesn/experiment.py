@@ -200,6 +200,7 @@ def evaluate_trial(
         )
         val_mses.append(readout.mse(states[fit_end:train_end] @ val_fit, targets[fit_end:train_end]))
         test_mses.append(readout.mse(states[train_end:] @ test_fit, targets[train_end:]))
+        del states  # so the next guess's run does not hold two state arrays
     return TrialResult(task.name, topo_name, num_layers, config_index, hyper, tuple(val_mses), tuple(test_mses))
 
 

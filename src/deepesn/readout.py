@@ -1,8 +1,17 @@
-"""Linear readout: pseudo-inverse training and MSE scoring."""
+"""Linear readout: pseudo-inverse training and MSE scoring.
+
+The QR factorization is LAPACK's ``dgeqrf``, the routine behind
+``np.linalg.qr``, called through numpy's ``numpy.linalg.lapack_lite``
+binding because it factors the caller's array in place.  ``np.linalg.qr``
+copies its input twice first, to a new array and to column-major order;
+the direct call factors a column-major buffer where it lies, with the
+workspace ``np.linalg.qr`` would query, so the triangle is unchanged.
+"""
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.linalg import LinAlgError, lapack_lite
 
 DEFAULT_RCOND = 1e-12
 
@@ -46,18 +55,24 @@ def train_pseudo_inverse(states, targets, row_ends=None) -> list[np.ndarray]:
 
     width = states.shape[1]
     columns = width + targets.shape[1]
-    # one buffer for every stage: the carried triangle (at most `columns` rows), then the new rows
-    block = np.empty((columns + max(b - a for a, b in zip(starts, ends)), columns))
+    # one column-major buffer for every stage: the carried triangle (at most `columns` rows), then the new rows
+    lda = columns + max(b - a for a, b in zip(starts, ends))
+    storage, tau, work = np.empty((columns, lda)), np.empty(columns), np.empty(1)
+    block = storage.T
+    lapack_lite.dgeqrf(lda, columns, storage, lda, tau, work, -1, 0)  # workspace query
+    work = np.empty(max(int(work[0]), columns))
     carried = 0
     fits = []
     for start, end in zip(starts, ends):
         rows = carried + end - start
         block[carried:rows, :width] = states[start:end]
         block[carried:rows, width:] = targets[start:end]
-        r = np.linalg.qr(block[:rows], mode="r")
-        fits.append(np.linalg.lstsq(r[:, :width], r[:, width:], rcond=DEFAULT_RCOND)[0])
-        carried = r.shape[0]
-        block[:carried] = r
+        if info := lapack_lite.dgeqrf(rows, columns, storage, lda, tau, work, work.size, 0)["info"]:
+            raise LinAlgError(f"dgeqrf failed with info={info}")
+        carried = min(rows, columns)
+        for j in range(carried - 1):  # clear the reflectors under the diagonal, leaving the triangle
+            storage[j, j + 1:carried] = 0.0
+        fits.append(np.linalg.lstsq(block[:carried, :width], block[:carried, width:], rcond=DEFAULT_RCOND)[0])
     return fits
 
 

@@ -27,7 +27,8 @@ directly because it adds into an array the caller passes.  Each step writes
 straight into its zeroed row of the state array, which skips the result
 allocation and argument checks of ``stack @ x``, about half of its cost per
 step at 500 units.  The kernel sums each row's products in stored order
-from zero, as ``stack @ x`` does, so the states are unchanged.
+from zero, as ``stack @ x`` does; ``W_in`` is the stack's last column, so
+the input's term is the last of each first-layer sum.
 """
 
 from __future__ import annotations
@@ -182,12 +183,12 @@ def run(reservoir: DeepReservoir, inputs: Sequence, initial_state: Optional[np.n
 
     Layer ``l`` (from 0) is computed ``l`` steps late, so that at skewed
     step ``s`` it sees its own state and that of the layer below, both
-    from step ``s - 1``.  One product with the block-bidiagonal ``stack``
-    matrix, written into the zeroed row of step ``s``, then the input drive
-    of the first layer, added to that row, and one ``tanh`` in place
-    advance every layer at once.  Layers that have not started yet are held
-    at their initial state, and the skew is undone before the states are
-    returned.
+    from step ``s - 1``, and the first also the input of step ``s``, stored
+    after them.  One product with ``stack`` (the block-bidiagonal weights,
+    then the input weights), written into the zeroed row of step ``s``,
+    and one ``tanh`` in place advance every layer at once.  Layers that
+    have not started yet are held at their initial state, and the skew is
+    undone before the states are returned.
     """
     u = np.asarray(inputs, dtype=float)
     if u.ndim == 1:
@@ -208,26 +209,26 @@ def run(reservoir: DeepReservoir, inputs: Sequence, initial_state: Optional[np.n
     steps = u.shape[0]
     n = offsets[-1]
 
-    # recurrent matrices on the diagonal, inbound ones just below it
-    blocks = [[None] * num_layers for _ in range(num_layers)]
+    # recurrent matrices on the diagonal, inbound ones just below it, the input weights in a last column
+    blocks = [[None] * (num_layers + 1) for _ in range(num_layers)]
+    blocks[0][num_layers] = scipy.sparse.csr_array(reservoir.input_weights)
     for l, lw in enumerate(reservoir.layers):
         blocks[l][l] = scipy.sparse.csr_array(lw.recurrent)
         if l > 0:
             blocks[l][l - 1] = scipy.sparse.csr_array(lw.inbound)
     stack = scipy.sparse.block_array(blocks, format="csr")
-    w_in = reservoir.input_weights[:, 0]
 
-    skewed = np.zeros((steps + num_layers - 1, n))
-    prev = state0
+    skewed = np.zeros((steps + num_layers - 1, n + 1))  # row s: skewed step s, then the input of step s + 1
+    skewed[:max(steps - 1, 0), n] = u[1:, 0]
+    states = skewed[:, :n]
+    prev = np.append(state0, u[0, 0] if steps else 0.0)
     for s in range(skewed.shape[0]):
-        row = skewed[s]
-        csr_matvec(n, n, stack.indptr, stack.indices, stack.data, prev, row)  # row += stack @ prev
-        if s < steps:
-            row[:sizes[0]] += w_in * u[s, 0]
+        row = states[s]
+        csr_matvec(n, n + 1, stack.indptr, stack.indices, stack.data, prev, row)  # row += stack @ prev
         np.tanh(row, out=row)
         if s < num_layers - 1:  # layers above s have not started yet
             row[offsets[s + 1]:] = state0[offsets[s + 1]:]
-        prev = row
+        prev = skewed[s]
     for l in range(1, num_layers):  # undo the skew: move each layer's block up by its lag
-        skewed[:steps, offsets[l]:offsets[l + 1]] = skewed[l:l + steps, offsets[l]:offsets[l + 1]]
-    return skewed[:steps]
+        states[:steps, offsets[l]:offsets[l + 1]] = states[l:l + steps, offsets[l]:offsets[l + 1]]
+    return states[:steps]

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -180,6 +181,17 @@ class TestEvaluateTrial:
         b = evaluate_trial(corrupted, **args)
         assert a.validation_mses == b.validation_mses
         assert a.test_mses == b.test_mses
+
+    def test_one_state_array_alive_at_a_time(self):
+        # a guess's states are dropped before the next guess runs; holding them peaks above 2.3 arrays
+        task = generate_narma10(3000, seed=1, train_len=1500, washout=100, validation_len=300)
+        tracemalloc.start()
+        try:
+            evaluate_trial(task, Sparse(5), 2, ScalingSpec(0.9, 0.5, 0.8), 2, 7, total_units=200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.8 * 3000 * 200 * 8
 
 
 class TestSelection:

@@ -1,8 +1,10 @@
 """Readout training against the normal-equations and lstsq oracles, plus scoring."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deepesn import DEFAULT_RCOND, mse, train_pseudo_inverse
@@ -95,6 +97,8 @@ class TestNestedPrefixes:
 
     @settings(max_examples=200, deadline=None)
     @given(nested_problems())
+    # the first prefix is one row of three columns, so the carried triangle is trapezoidal
+    @example((np.array([[0.5, 0.5], [-1.5, -1.5]]), np.array([1.0, 2.0]), [1, 2]))
     def test_each_prefix_matches_lstsq(self, problem):
         states, targets, row_ends = problem
         fits = train_pseudo_inverse(states, targets, row_ends)
@@ -111,6 +115,21 @@ class TestNestedPrefixes:
                 scale = 1.0 + np.linalg.norm(y)
                 assert abs(np.linalg.norm(a @ w - y) - np.linalg.norm(a @ ref - y)) <= 1e-8 * scale
                 assert np.linalg.norm(w) <= np.linalg.norm(ref) * (1.0 + 1e-8) + 1e-12
+
+
+def test_fit_factors_its_buffer_in_place():
+    # the rows are factored where they lie; a copy of them before factoring peaks above twice the buffer
+    rng = np.random.default_rng(5)
+    states = np.tanh(rng.standard_normal((3000, 200)))
+    targets = rng.standard_normal(3000)
+    tracemalloc.start()
+    try:
+        train_pseudo_inverse(states, targets, (2000, 3000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    buffer = 201 * (201 + 2000) * 8  # the carried triangle's rows on top of the longest stage
+    assert peak <= 1.6 * buffer
 
 
 class TestPredict:

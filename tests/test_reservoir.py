@@ -184,6 +184,26 @@ class TestRun:
         prefix = run(res, inputs[:40])
         assert np.array_equal(full[:40], prefix)
 
+    @pytest.mark.parametrize("num_layers", [1, 3])
+    def test_empty_series_has_no_rows(self, num_layers):
+        res = build_reservoir(small_spec(num_layers=num_layers))
+        assert run(res, np.zeros(0)).shape == (0, 24)
+        assert run(res, np.zeros((0, 1)), initial_state=np.full(24, 0.5)).shape == (0, 24)
+
+    @settings(max_examples=100, deadline=None)
+    @given(reference_cases(), st.integers(1, 30))
+    def test_causal_bit_for_bit(self, case, split):
+        # a prefix run is the full run's prefix, and a run resumed from any state continues it exactly
+        spec, inputs, start = case
+        try:
+            res = build_reservoir(spec)
+        except DegenerateMatrixError:
+            reject()
+        k = min(split, len(inputs))
+        full = run(res, inputs, initial_state=start)
+        assert np.array_equal(run(res, inputs[:k], initial_state=start), full[:k])
+        assert np.array_equal(run(res, inputs[k:], initial_state=full[k - 1]), full[k:])
+
     def test_input_shape_errors(self):
         res = build_reservoir(small_spec())
         with pytest.raises(ValueError):
