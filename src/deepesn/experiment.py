@@ -8,9 +8,9 @@ network guesses, selects the best configuration by validation MSE only,
 and reports that configuration's test MSE.
 
 Everything is keyed by a master seed and the trial's structural identity,
-never by execution order, and the search pins OpenBLAS to one thread per
-trial, so reruns and parallel runs produce identical reports.  Called on its
-own, :func:`evaluate_trial` keeps the caller's BLAS threads.
+never by execution order, and :func:`evaluate_trial` pins OpenBLAS to one
+thread around its guesses (restoring the caller's counts), so reruns, parallel
+runs and lone ``eval`` calls give the same MSEs at any BLAS thread setting.
 """
 
 from __future__ import annotations
@@ -175,7 +175,8 @@ def evaluate_trial(
     rows: one on the fit range scored on the validation range, and one on
     the full training range scored on the test range.  The training range
     extends the fit range, so both readouts come from one call that
-    factorizes each training row once.
+    factorizes each training row once.  The guesses run at one OpenBLAS
+    thread, since the readout's sums depend on how BLAS splits them.
     """
     if guesses < 1:
         raise ValueError(f"guesses must be at least 1, got {guesses}")
@@ -188,19 +189,26 @@ def evaluate_trial(
     targets = task.targets[:, None]
 
     val_mses, test_mses = [], []
-    for guess in range(guesses):
-        seed = derive_seed(
-            master_seed, "guess", topo_name, fan_in, num_layers,
-            hyper.rho, hyper.omega_in, hyper.omega_il, guess,
-        )
-        spec = ReservoirSpec(total_units=total_units, num_layers=num_layers, topology=topology, scaling=hyper, seed=seed)
-        states = run(build_reservoir(spec), task.inputs)
-        val_fit, test_fit = readout.train_pseudo_inverse(
-            states[washout:train_end], targets[washout:train_end], (fit_end - washout, train_end - washout)
-        )
-        val_mses.append(readout.mse(states[fit_end:train_end] @ val_fit, targets[fit_end:train_end]))
-        test_mses.append(readout.mse(states[train_end:] @ test_fit, targets[train_end:]))
-        del states  # so the next guess's run does not hold two state arrays
+    pinned = [(set_threads, get_threads()) for set_threads, get_threads in _openblas_thread_calls()]
+    try:
+        for set_threads, _ in pinned:
+            set_threads(1)
+        for guess in range(guesses):
+            seed = derive_seed(
+                master_seed, "guess", topo_name, fan_in, num_layers,
+                hyper.rho, hyper.omega_in, hyper.omega_il, guess,
+            )
+            spec = ReservoirSpec(total_units=total_units, num_layers=num_layers, topology=topology, scaling=hyper, seed=seed)
+            states = run(build_reservoir(spec), task.inputs)
+            val_fit, test_fit = readout.train_pseudo_inverse(
+                states[washout:train_end], targets[washout:train_end], (fit_end - washout, train_end - washout)
+            )
+            val_mses.append(readout.mse(states[fit_end:train_end] @ val_fit, targets[fit_end:train_end]))
+            test_mses.append(readout.mse(states[train_end:] @ test_fit, targets[train_end:]))
+            del states  # so the next guess's run does not hold two state arrays
+    finally:
+        for set_threads, count in pinned:
+            set_threads(count)
     return TrialResult(task.name, topo_name, num_layers, config_index, hyper, tuple(val_mses), tuple(test_mses))
 
 
@@ -284,8 +292,8 @@ def _run_job(job: _Job) -> TrialResult:
         return TrialResult(task.name, topo_name, job.num_layers, job.config_index, job.hyper, (), (), note)
 
 
-def _set_openblas_threads(threads: int) -> list:
-    """Set each OpenBLAS in /proc/self/maps to ``threads`` threads; return (setter, previous count) pairs."""
+def _openblas_thread_calls() -> list:
+    """The (set, get) thread-count functions of each OpenBLAS in /proc/self/maps."""
     try:
         with open("/proc/self/maps", encoding="utf-8") as maps:
             paths = sorted({path for path in (line.split()[-1] for line in maps) if "openblas" in path})
@@ -299,8 +307,7 @@ def _set_openblas_threads(threads: int) -> list:
                 set_threads, get_threads = getattr(library, name.format("set")), getattr(library, name.format("get"))
                 set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
                 get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-                found.append((set_threads, get_threads()))
-                set_threads(threads)
+                found.append((set_threads, get_threads))
                 break
     return found
 
@@ -320,22 +327,15 @@ def _execute_jobs(tasks, jobs, settings, workers: int, progress: bool = False):
         return out
 
     try:
-        pinned = _set_openblas_threads(1)
-        if not pinned:
+        if not _openblas_thread_calls():  # once per search; evaluate_trial pins in each process
             print("warning: no OpenBLAS found to pin to one thread; the results may depend on the "
                   "BLAS thread count", file=sys.stderr, flush=True)
-        try:
-            if workers <= 1 or len(jobs) <= 1:
-                return _collect(_run_job(job) for job in jobs)
-        finally:
-            # a library caller keeps its threads; with a pool, the parent only waits on the workers
-            for set_threads, count in pinned:
-                set_threads(count)
+        if workers <= 1 or len(jobs) <= 1:
+            return _collect(_run_job(job) for job in jobs)
         chunk = max(1, len(jobs) // (workers * 8))
         # fork start method: workers inherit the task table set above
         context = multiprocessing.get_context("fork")
-        pool = ProcessPoolExecutor(workers, mp_context=context, initializer=_set_openblas_threads, initargs=(1,))
-        with pool:
+        with ProcessPoolExecutor(workers, mp_context=context) as pool:
             return _collect(pool.map(_run_job, jobs, chunksize=chunk))
     finally:
         _WORKER_TASKS = []

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import deepesn
 from deepesn import (
     Dataset,
+    Permutation,
     Ring,
     ScalingSpec,
     SearchSpace,
@@ -32,7 +33,8 @@ from deepesn import (
     sample_config,
     trial_log_table,
 )
-from deepesn.experiment import _execute_jobs, _plan_search, _set_openblas_threads, select_best
+from deepesn import readout
+from deepesn.experiment import _execute_jobs, _openblas_thread_calls, _plan_search, select_best
 
 TINY_SPACE = SearchSpace(configs_per_layer=2, guesses=2, layer_counts=(2,))
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "GOTO_NUM_THREADS")
@@ -41,6 +43,25 @@ BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THR
 @pytest.fixture(scope="module")
 def tiny_task():
     return generate_narma10(600, seed=3, train_len=300, washout=20, validation_len=80)
+
+
+def openblas_threads():
+    return [get_threads() for _, get_threads in _openblas_thread_calls()]
+
+
+@pytest.fixture
+def caller_at_two_blas_threads():
+    """Every loaded OpenBLAS at 2 threads for the test, the counts found before it restored after."""
+    calls = _openblas_thread_calls()
+    if not calls:
+        pytest.skip("no OpenBLAS is loaded")
+    before = openblas_threads()
+    for set_threads, _ in calls:
+        set_threads(2)
+    assert openblas_threads() == [2] * len(calls)
+    yield
+    for (set_threads, _), count in zip(calls, before):
+        set_threads(count)
 
 
 def make_trial(task="t", topology="sparse", layers=1, config=0, val=1.0, test=1.0, failed=False):
@@ -193,6 +214,44 @@ class TestEvaluateTrial:
             tracemalloc.stop()
         assert peak <= 1.8 * 3000 * 200 * 8
 
+    def test_mses_independent_of_caller_blas_threads(self, caller_at_two_blas_threads):
+        # at 500 units the readout's BLAS calls split over 2 threads, which moves the MSEs' last digits
+        task = generate_narma10(3000, seed=3, train_len=1500, washout=100, validation_len=300)
+        space = SearchSpace(configs_per_layer=1, guesses=2, layer_counts=(2,))
+        stored = run_benchmark_suite([task], [Permutation()], space, 7, total_units=500).entries[0].deep.trials[0]
+        trials = []
+        for threads in (2, 1, 2):
+            for set_threads, _ in _openblas_thread_calls():
+                set_threads(threads)
+            trials.append(evaluate_trial(task, Permutation(), 2, stored.hyper, 2, 7, total_units=500))
+        for trial in trials:
+            assert repr(trial.validation_mses + trial.test_mses) == repr(stored.validation_mses + stored.test_mses)
+
+    def test_pins_one_blas_thread_and_restores_the_callers(self, tiny_task, caller_at_two_blas_threads, monkeypatch):
+        during = []
+        fit = readout.train_pseudo_inverse
+
+        def recording(*args, **kwargs):
+            during.append(openblas_threads())
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(readout, "train_pseudo_inverse", recording)
+        args = (tiny_task, Sparse(3), 2, ScalingSpec(0.8, 0.6, 0.6), 2, 5)
+        evaluate_trial(*args, total_units=20)
+        assert during and all(set(counts) == {1} for counts in during)
+        assert set(openblas_threads()) == {2}
+
+        def broken_run(*args, **kwargs):
+            during.append(openblas_threads())
+            raise RuntimeError("broken guess")
+
+        during.clear()
+        monkeypatch.setattr("deepesn.experiment.run", broken_run)
+        with pytest.raises(RuntimeError, match="broken guess"):
+            evaluate_trial(*args, total_units=20)
+        assert during and set(during[0]) == {1}
+        assert set(openblas_threads()) == {2}
+
 
 class TestSelection:
     def test_validation_decides_not_test(self):
@@ -284,29 +343,30 @@ class TestBenchmarkSuite:
             logs.append((out / "trials.tsv").read_bytes())
         assert logs[0] == logs[1] == logs[2]
 
-    def test_serial_search_pins_blas_then_restores_it(self, tiny_task, monkeypatch):
-        before = _set_openblas_threads(2)
-        if not before:
-            pytest.skip("no OpenBLAS is loaded")
-        during = []
+    def test_serial_search_pins_blas_then_restores_it(self, tiny_task, caller_at_two_blas_threads, monkeypatch):
+        # the executor leaves the caller's threads alone; each trial pins around its own guesses
+        outside, inside = [], []
+        trial, fit = evaluate_trial, readout.train_pseudo_inverse
 
-        def recording(*args, **kwargs):
-            during.extend(count for _, count in _set_openblas_threads(1))
-            return evaluate_trial(*args, **kwargs)
+        def recording_trial(*args, **kwargs):
+            outside.append(openblas_threads())
+            return trial(*args, **kwargs)
 
-        monkeypatch.setattr("deepesn.experiment.evaluate_trial", recording)
-        try:
-            self.suite(tiny_task, replace(TINY_SPACE, guesses=1))
-            after = [count for _, count in _set_openblas_threads(2)]
-        finally:
-            for set_threads, count in before:
-                set_threads(count)
-        assert during and set(during) == {1}
-        assert after == [2] * len(before)
+        def recording_fit(*args, **kwargs):
+            inside.append(openblas_threads())
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr("deepesn.experiment.evaluate_trial", recording_trial)
+        monkeypatch.setattr(readout, "train_pseudo_inverse", recording_fit)
+        self.suite(tiny_task, replace(TINY_SPACE, guesses=1))
+        assert outside and all(set(counts) == {2} for counts in outside)
+        assert inside and all(set(counts) == {1} for counts in inside)
+        assert set(openblas_threads()) == {2}
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_missing_openblas_is_reported_once(self, tiny_task, capsys, monkeypatch, workers):
-        monkeypatch.setattr("deepesn.experiment._set_openblas_threads", lambda threads: [])
+        # forked workers inherit the patch, so no process finds an OpenBLAS, yet one warning is printed
+        monkeypatch.setattr("deepesn.experiment._openblas_thread_calls", lambda: [])
         report = self.suite(tiny_task, replace(TINY_SPACE, guesses=1), workers=workers)
         assert not report.failures
         assert all(entry.deep.selected is not None for entry in report.entries)
