@@ -7,10 +7,11 @@ scores every configuration as the mean validation MSE over several fresh
 network guesses, selects the best configuration by validation MSE only,
 and reports that configuration's test MSE.
 
-Everything is keyed by a master seed and the trial's structural identity,
-never by execution order, and :func:`evaluate_trial` pins OpenBLAS to one
-thread around its guesses (restoring the caller's counts), so reruns, parallel
-runs and lone ``eval`` calls give the same MSEs at any BLAS thread setting.
+Each planned trial carries its own :func:`evaluate_trial` arguments, and the
+pool hands out one trial at a time.  Results are keyed by a master seed and
+each trial's structural identity, never by execution order, and every trial
+pins OpenBLAS to one thread (restoring the caller's counts), so reruns,
+parallel runs and lone ``eval`` calls give the same MSEs at any thread setting.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import islice
+from typing import ClassVar
 
 import numpy as np
 
@@ -38,26 +40,16 @@ DEEP_GROUP = "deep"
 
 @dataclass(frozen=True)
 class SearchSpace:
-    """Sampling ranges and budget of one random search."""
+    """Budget of one random search; the sampling ranges are fixed."""
 
-    rho_range: tuple[float, float] = (0.1, 1.0)
-    omega_in_range: tuple[float, float] = (0.1, 2.0)
-    omega_il_range: tuple[float, float] = (0.1, 2.0)
+    rho_range: ClassVar[tuple[float, float]] = (0.1, 1.0)
+    omega_in_range: ClassVar[tuple[float, float]] = (0.1, 2.0)
+    omega_il_range: ClassVar[tuple[float, float]] = (0.1, 2.0)
     configs_per_layer: int = 50
     guesses: int = 10
     layer_counts: tuple[int, ...] = (2, 3, 4, 5)
 
     def __post_init__(self):
-        for label, (low, high) in (
-            ("rho_range", self.rho_range),
-            ("omega_in_range", self.omega_in_range),
-            ("omega_il_range", self.omega_il_range),
-        ):
-            # equal bounds are allowed: the draw then degenerates to that value
-            if not (np.isfinite(low) and np.isfinite(high) and low <= high):
-                raise ValueError(f"{label} must be an ordered finite interval, got ({low}, {high})")
-            if low <= 0:
-                raise ValueError(f"{label} must be positive, got ({low}, {high})")
         if self.configs_per_layer < 1 or self.guesses < 1:
             raise ValueError("configs_per_layer and guesses must be at least 1")
         if not self.layer_counts or any(l < 1 for l in self.layer_counts):
@@ -258,45 +250,35 @@ class ExperimentReport:
 
 @dataclass(frozen=True)
 class _Job:
-    """One planned trial; the task travels by index to keep payloads small."""
+    """One planned trial: exactly the arguments of :func:`evaluate_trial`, the task included."""
 
-    task_index: int
+    task: Dataset
     topology: TopologyKind
     num_layers: int
-    config_index: int
     hyper: ScalingSpec
-
-
-# Worker-side task table, populated before the pool forks.
-_WORKER_TASKS: list[Dataset] = []
-_WORKER_SETTINGS: dict = {}
+    guesses: int
+    master_seed: int
+    total_units: int
+    config_index: int
 
 
 def _run_job(job: _Job) -> TrialResult:
-    task = _WORKER_TASKS[job.task_index]
-    settings = _WORKER_SETTINGS
     try:
-        return evaluate_trial(
-            task,
-            job.topology,
-            job.num_layers,
-            job.hyper,
-            settings["guesses"],
-            settings["master_seed"],
-            total_units=settings["total_units"],
-            config_index=job.config_index,
-        )
+        return evaluate_trial(job.task, job.topology, job.num_layers, job.hyper, job.guesses, job.master_seed,
+                              total_units=job.total_units, config_index=job.config_index)
     except Exception as exc:  # isolate a broken trial instead of aborting the suite
         topo_name, _ = _topology_parts(job.topology)
-        note = f"{task.name}/{topo_name}/L={job.num_layers}/config={job.config_index}: {type(exc).__name__}: {exc}"
-        return TrialResult(task.name, topo_name, job.num_layers, job.config_index, job.hyper, (), (), note)
+        note = f"{job.task.name}/{topo_name}/L={job.num_layers}/config={job.config_index}: {type(exc).__name__}: {exc}"
+        return TrialResult(job.task.name, topo_name, job.num_layers, job.config_index, job.hyper, (), (), note)
 
 
 def _openblas_thread_calls() -> list:
     """The (set, get) thread-count functions of each OpenBLAS in /proc/self/maps."""
     try:
         with open("/proc/self/maps", encoding="utf-8") as maps:
-            paths = sorted({path for path in (line.split()[-1] for line in maps) if "openblas" in path})
+            # the path is everything after the fifth field, and may hold spaces
+            fields = (line.rstrip("\n").split(maxsplit=5) for line in maps)
+            paths = sorted({f[5] for f in fields if len(f) == 6 and "openblas" in f[5]})
     except OSError:
         return []
     found = []
@@ -312,10 +294,7 @@ def _openblas_thread_calls() -> list:
     return found
 
 
-def _execute_jobs(tasks, jobs, settings, workers: int, progress: bool = False):
-    global _WORKER_TASKS, _WORKER_SETTINGS
-    _WORKER_TASKS = list(tasks)
-    _WORKER_SETTINGS = dict(settings)
+def _execute_jobs(jobs, workers: int, progress: bool = False):
     every = max(1, len(jobs) // 100)
 
     def _collect(iterator):
@@ -326,23 +305,18 @@ def _execute_jobs(tasks, jobs, settings, workers: int, progress: bool = False):
                 print(f"progress: {index}/{len(jobs)} trials", file=sys.stderr, flush=True)
         return out
 
-    try:
-        if not _openblas_thread_calls():  # once per search; evaluate_trial pins in each process
-            print("warning: no OpenBLAS found to pin to one thread; the results may depend on the "
-                  "BLAS thread count", file=sys.stderr, flush=True)
-        if workers <= 1 or len(jobs) <= 1:
-            return _collect(_run_job(job) for job in jobs)
-        chunk = max(1, len(jobs) // (workers * 8))
-        # fork start method: workers inherit the task table set above
-        context = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(workers, mp_context=context) as pool:
-            return _collect(pool.map(_run_job, jobs, chunksize=chunk))
-    finally:
-        _WORKER_TASKS = []
-        _WORKER_SETTINGS = {}
+    if not _openblas_thread_calls():  # once per search; evaluate_trial pins in each process
+        print("warning: no OpenBLAS found to pin to one thread; the results may depend on the "
+              "BLAS thread count", file=sys.stderr, flush=True)
+    if workers <= 1 or len(jobs) <= 1:
+        return _collect(map(_run_job, jobs))
+    # fork start method: workers inherit the modules as they are, without importing the program again
+    context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(workers, mp_context=context) as pool:
+        return _collect(pool.map(_run_job, jobs))  # one trial at a time
 
 
-def _plan_search(task: Dataset, task_index: int, topology: TopologyKind, space: SearchSpace, master_seed: int):
+def _plan_search(task: Dataset, topology: TopologyKind, space: SearchSpace, master_seed: int, total_units: int):
     """Deterministic trial plan: each config has its own derived sampling stream."""
     topo_name, fan_in = _topology_parts(topology)
     jobs = []
@@ -350,7 +324,7 @@ def _plan_search(task: Dataset, task_index: int, topology: TopologyKind, space: 
         key = derive_seed(master_seed, "config", task.name, topo_name, fan_in, num_layers)
         for index in range(space.configs_per_layer):
             hyper = sample_config(space, random_stream(key, index))
-            jobs.append(_Job(task_index, topology, num_layers, index, hyper))
+            jobs.append(_Job(task, topology, num_layers, hyper, space.guesses, master_seed, total_units, index))
     return jobs
 
 
@@ -371,14 +345,13 @@ def run_benchmark_suite(
     shallow_space = replace(space, layer_counts=(1,))
 
     searches = [
-        (task, topology, group, _plan_search(task, task_index, topology, group_space, master_seed))
-        for task_index, task in enumerate(tasks)
+        (task, topology, group, _plan_search(task, topology, group_space, master_seed, total_units))
+        for task in tasks
         for topology in topologies
         for group, group_space in ((SHALLOW_GROUP, shallow_space), (DEEP_GROUP, space))
     ]
-    settings = {"guesses": space.guesses, "master_seed": master_seed, "total_units": total_units}
     plan = [job for *_, jobs in searches for job in jobs]
-    outcomes = iter(_execute_jobs(tasks, plan, settings, workers, progress=progress))
+    outcomes = iter(_execute_jobs(plan, workers, progress=progress))
     results = [SearchResult(group, tuple(islice(outcomes, len(jobs)))) for _, _, group, jobs in searches]
     # searches alternate shallow, deep for each (task, topology)
     entries = tuple(

@@ -20,11 +20,10 @@ from typing import Union
 import numpy as np
 
 _DEGENERATE_FLOOR = 1e-12
-_MAX_DRAW_ATTEMPTS = 10
 
 
 class DegenerateMatrixError(RuntimeError):
-    """Raised when repeated random draws produce an unscalable matrix."""
+    """Raised when a random draw produces a matrix too close to zero to rescale."""
 
 
 @dataclass(frozen=True)
@@ -107,15 +106,13 @@ def _sparse_uniform(rows: int, cols: int, fan_in: int, rng: np.random.Generator)
     return out
 
 
-def _draw_rescaled(draw, measure, target: float, label: str) -> np.ndarray:
-    """``draw()`` rescaled so that ``measure`` of it is ``target``; a numerically zero draw is redrawn."""
-    for _ in range(_MAX_DRAW_ATTEMPTS):
-        raw = draw()
-        measured = measure(raw)
-        if measured >= _DEGENERATE_FLOOR:
-            raw *= target / measured
-            return raw
-    raise DegenerateMatrixError(f"{label} measured numerically zero in {_MAX_DRAW_ATTEMPTS} draws")
+def _rescaled(raw: np.ndarray, measure, target: float, label: str) -> np.ndarray:
+    """``raw`` rescaled in place so that ``measure`` of it is ``target``; a numerically zero draw raises."""
+    measured = measure(raw)
+    if measured < _DEGENERATE_FLOOR:
+        raise DegenerateMatrixError(f"{label} measured numerically zero ({measured!r})")
+    raw *= target / measured
+    return raw
 
 
 def check_fan_in(fan_in: int, n: int, label: str = "fan_in") -> None:
@@ -134,7 +131,7 @@ def make_sparse_recurrent(n: int, fan_in: int, rho: float, rng: np.random.Genera
     """Sparse recurrent matrix with in-degree ``fan_in``, rescaled to spectral radius ``rho``."""
     check_fan_in(fan_in, n)
     _require_positive("rho", rho)
-    return _draw_rescaled(lambda: _sparse_uniform(n, n, fan_in, rng), spectral_radius, rho, f"sparse {n}x{n} draw")
+    return _rescaled(_sparse_uniform(n, n, fan_in, rng), spectral_radius, rho, f"sparse {n}x{n} draw")
 
 
 def make_permutation_recurrent(n: int, weight: float, rng: np.random.Generator) -> np.ndarray:
@@ -170,15 +167,15 @@ def make_chain_recurrent(n: int, weight: float) -> np.ndarray:
 def make_input_matrix(n_r: int, omega_in: float, rng: np.random.Generator) -> np.ndarray:
     """Dense uniform [-1, 1] ``(n_r, 1)`` column rescaled so its 2-norm equals ``omega_in``."""
     _require_positive("omega_in", omega_in)
-    return _draw_rescaled(lambda: rng.uniform(-1.0, 1.0, size=(n_r, 1)), operator_norm, omega_in, f"input {n_r}x1 draw")
+    return _rescaled(rng.uniform(-1.0, 1.0, size=(n_r, 1)), operator_norm, omega_in, f"input {n_r}x1 draw")
 
 
 def make_interlayer_matrix(n_to: int, n_from: int, fan_in: int, omega_il: float, rng: np.random.Generator) -> np.ndarray:
     """Layer-to-layer matrix: ``fan_in`` non-zeros per row, 2-norm rescaled to ``omega_il``."""
     check_fan_in(fan_in, n_from)
     _require_positive("omega_il", omega_il)
-    return _draw_rescaled(lambda: _sparse_uniform(n_to, n_from, fan_in, rng), operator_norm, omega_il,
-                          f"inter-layer {n_to}x{n_from} draw")
+    return _rescaled(_sparse_uniform(n_to, n_from, fan_in, rng), operator_norm, omega_il,
+                     f"inter-layer {n_to}x{n_from} draw")
 
 
 def spectral_radius(m: np.ndarray) -> float:

@@ -8,7 +8,7 @@ _outcomes = {}
 def pytest_configure(config):
     config.addinivalue_line(
         "markers",
-        "full: long quantitative reproduction checks (hours); needs DEEPESN_RESULTS or DEEPESN_RUN_FULL",
+        "full: quantitative reproduction checks on full-budget results; needs DEEPESN_RESULTS",
     )
 
 

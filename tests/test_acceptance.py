@@ -2,8 +2,8 @@
 
 Criteria 1-7 are property checks sized for CI.  Criteria 8-10 verify the
 full-budget benchmark reproduction; they read trial logs from the directory
-named by DEEPESN_RESULTS (written by `deepesn benchmark --budget full`), or
-recompute everything in-process when DEEPESN_RUN_FULL=1 (hours).
+named by DEEPESN_RESULTS (written by `deepesn benchmark --budget full`) and
+skip without it.
 
 Criterion 5 is recorded as a strict expected failure: the generated series
 is chaotic, so trajectory-level agreement between step sizes over 1000
@@ -22,7 +22,6 @@ import pytest
 import deepesn as d
 
 RESULTS_ENV = "DEEPESN_RESULTS"
-RUN_FULL_ENV = "DEEPESN_RUN_FULL"
 
 SIZES = (2, 10, 167, 500)
 NUM_SEEDS = 100
@@ -193,43 +192,12 @@ TOPOLOGIES = ("sparse", "permutation", "ring", "chain")
 
 def _load_result_rows():
     results_dir = os.environ.get(RESULTS_ENV)
-    if results_dir:
-        logs = sorted(Path(results_dir).rglob("trials.tsv"))
-        if not logs:
-            pytest.skip(f"{RESULTS_ENV}={results_dir} contains no trials.tsv files")
-        rows = []
-        for log in logs:
-            rows.extend(d.load_trial_log(log))
-        return rows
-    if os.environ.get(RUN_FULL_ENV) == "1":
-        rows = []
-        for name in FULL_TASKS:
-            if name == "narma10":
-                task = d.generate_narma10(10000, 1)
-            else:
-                task = d.generate_mackey_glass(
-                    d.MGParams(tau=17.0 if name == "mg17" else 30.0), 10000, name=name
-                )
-            report = d.run_benchmark_suite([task], list(TOPOLOGIES), d.FULL_BUDGET, 42, workers=2)
-            rows.extend(_rows_from_report(report))
-        return rows
-    pytest.skip(
-        f"full-budget checks need {RESULTS_ENV}=<dir with trials.tsv from "
-        f"`deepesn benchmark --budget full`> or {RUN_FULL_ENV}=1"
-    )
-
-
-def _rows_from_report(report):
-    # round-trip through the log format so both sources look identical
-    import tempfile
-
-    with tempfile.NamedTemporaryFile("w", suffix=".tsv", delete=False) as handle:
-        handle.write(d.trial_log_table(report))
-        path = Path(handle.name)
-    try:
-        return d.load_trial_log(path)
-    finally:
-        path.unlink()
+    if not results_dir:
+        pytest.skip(f"full-budget checks need {RESULTS_ENV}=<dir with trials.tsv from `deepesn benchmark --budget full`>")
+    logs = sorted(Path(results_dir).rglob("trials.tsv"))
+    if not logs:
+        pytest.skip(f"{RESULTS_ENV}={results_dir} contains no trials.tsv files")
+    return [row for log in logs for row in d.load_trial_log(log)]
 
 
 @pytest.fixture(scope="session")

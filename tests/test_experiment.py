@@ -1,5 +1,6 @@
 """Search protocol: sampling, trial scoring, selection, determinism, logs."""
 
+import io
 import math
 import os
 import subprocess
@@ -113,11 +114,6 @@ class TestTrialResult:
 
 
 class TestSampleConfig:
-    def test_degenerate_intervals_collapse_to_the_point(self):
-        space = SearchSpace(rho_range=(0.4, 0.4), omega_in_range=(0.9, 0.9), omega_il_range=(1.1, 1.1))
-        hyper = sample_config(space, random_stream(0))
-        assert (hyper.rho, hyper.omega_in, hyper.omega_il) == (0.4, 0.9, 1.1)
-
     def test_uniformity_over_many_draws(self):
         rng = random_stream(123)
         rhos = np.array([sample_config(SearchSpace(), rng).rho for _ in range(10000)])
@@ -131,8 +127,8 @@ class TestSampleConfig:
         assert a == b
 
     def test_space_validation(self):
-        with pytest.raises(ValueError):
-            SearchSpace(rho_range=(1.0, 0.1))
+        with pytest.raises(TypeError):  # the sampling ranges are fixed
+            SearchSpace(rho_range=(0.2, 0.5))
         with pytest.raises(ValueError):
             SearchSpace(configs_per_layer=0)
         with pytest.raises(ValueError):
@@ -252,6 +248,27 @@ class TestEvaluateTrial:
         assert during and set(during[0]) == {1}
         assert set(openblas_threads()) == {2}
 
+    def test_finds_openblas_under_a_path_with_spaces(self, tmp_path, monkeypatch):
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            loaded = sorted({line[line.index("/"):].rstrip("\n") for line in maps if "openblas" in line})
+        if not loaded:
+            pytest.skip("no OpenBLAS is loaded")
+        link = tmp_path / "a b" / Path(loaded[0]).name
+        link.parent.mkdir()
+        link.symlink_to(loaded[0])
+        maps_text = (
+            "7f0000000000-7f0000001000 rw-p 00000000 00:00 0\n"  # an anonymous mapping has no path
+            f"7f0294800000-7f0294a89000 r--p 00000000 fe:00 62288                      {link}\n"
+        )
+        real_open = open
+
+        def fake_open(path, *args, **kwargs):
+            return io.StringIO(maps_text) if path == "/proc/self/maps" else real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr("deepesn.experiment.open", fake_open, raising=False)
+        [(_, get_threads)] = _openblas_thread_calls()
+        assert get_threads() >= 1
+
 
 class TestSelection:
     def test_validation_decides_not_test(self):
@@ -312,12 +329,11 @@ class TestBenchmarkSuite:
 
         # the executor run on a shuffled plan gives the same outcome for every job
         space = replace(TINY_SPACE, layer_counts=(1, 2))
-        plan = [job for kind in (Sparse(3), Ring()) for job in _plan_search(tiny_task, 0, kind, space, 7)]
-        settings = dict(guesses=2, master_seed=7, total_units=20)
-        in_order = _execute_jobs([tiny_task], plan, settings, workers=1)
+        plan = [job for kind in (Sparse(3), Ring()) for job in _plan_search(tiny_task, kind, space, 7, 20)]
+        in_order = _execute_jobs(plan, workers=1)
         order = np.random.default_rng(12345).permutation(len(plan))
         assert not np.array_equal(order, np.arange(len(plan)))
-        shuffled = _execute_jobs([tiny_task], [plan[i] for i in order], settings, workers=2)
+        shuffled = _execute_jobs([plan[i] for i in order], workers=2)
         reordered = [None] * len(plan)
         for position, original in enumerate(order):
             reordered[original] = shuffled[position]

@@ -71,31 +71,29 @@ class TestSparseRecurrent:
         with pytest.raises(ValueError):
             make_sparse_recurrent(5, 2, -0.1, random_stream(0))
 
-    def test_degenerate_draw_is_retried_then_fails(self):
+    def test_zero_draw_raises(self):
         class ZeroDraws:
-            """Duck-typed generator returning zeros for the first few uniform calls."""
+            """Duck-typed generator whose uniform values are all zero; counts its uniform calls."""
 
-            def __init__(self, inner, zero_calls):
+            def __init__(self, inner):
                 self.inner = inner
-                self.zero_calls = zero_calls
+                self.uniform_calls = 0
 
             def choice(self, *args, **kwargs):
                 return self.inner.choice(*args, **kwargs)
 
             def uniform(self, low, high, size):
-                values = self.inner.uniform(low, high, size)
-                if self.zero_calls > 0:
-                    self.zero_calls -= 1
-                    return np.zeros(size)
-                return values
+                self.uniform_calls += 1
+                return np.zeros(size)
 
-        # first full matrix draw (4 row calls) is zero, second succeeds
-        m = make_sparse_recurrent(4, 2, 0.6, ZeroDraws(random_stream(5), zero_calls=4))
-        assert eig_radius(m) == pytest.approx(0.6, abs=1e-8)
-
-        # every draw zero: hard error after bounded retries
+        rng = ZeroDraws(random_stream(5))
         with pytest.raises(DegenerateMatrixError):
-            make_sparse_recurrent(4, 2, 0.6, ZeroDraws(random_stream(5), zero_calls=10**9))
+            make_sparse_recurrent(4, 2, 0.6, rng)
+        assert rng.uniform_calls == 4  # one draw of 4 rows, not redrawn
+        with pytest.raises(DegenerateMatrixError):
+            make_input_matrix(4, 0.6, rng)
+        with pytest.raises(DegenerateMatrixError):
+            make_interlayer_matrix(4, 4, 2, 0.6, rng)
 
 
 class TestPermutationRecurrent:
