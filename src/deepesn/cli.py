@@ -31,6 +31,7 @@ from .experiment import (
     format_report,
     run_benchmark_suite,
     trial_log_table,
+    _warn_if_unpinned,
 )
 from .reservoir import check_layout
 from .topology import ScalingSpec, parse_topology
@@ -61,8 +62,8 @@ def _nonnegative_int(text: str) -> int:
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    if not 0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
     return value
 
 
@@ -179,6 +180,7 @@ def cmd_eval(args) -> int:
         args.task, seed=args.data_seed, length=args.length, laser_path=args.laser_path, **_split(args)
     )
     hyper = ScalingSpec(rho=args.rho, omega_in=args.omega_in, omega_il=args.omega_il)
+    _warn_if_unpinned()
     trial = evaluate_trial(
         dataset,
         topology,

@@ -294,6 +294,12 @@ def _openblas_thread_calls() -> list:
     return found
 
 
+def _warn_if_unpinned() -> None:
+    if not _openblas_thread_calls():
+        print("warning: no OpenBLAS found to pin to one thread; the results may depend on the "
+              "BLAS thread count", file=sys.stderr, flush=True)
+
+
 def _execute_jobs(jobs, workers: int, progress: bool = False):
     every = max(1, len(jobs) // 100)
 
@@ -305,9 +311,7 @@ def _execute_jobs(jobs, workers: int, progress: bool = False):
                 print(f"progress: {index}/{len(jobs)} trials", file=sys.stderr, flush=True)
         return out
 
-    if not _openblas_thread_calls():  # once per search; evaluate_trial pins in each process
-        print("warning: no OpenBLAS found to pin to one thread; the results may depend on the "
-              "BLAS thread count", file=sys.stderr, flush=True)
+    _warn_if_unpinned()  # once per search; evaluate_trial pins in each process
     if workers <= 1 or len(jobs) <= 1:
         return _collect(map(_run_job, jobs))
     # fork start method: workers inherit the modules as they are, without importing the program again

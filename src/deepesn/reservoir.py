@@ -47,8 +47,6 @@ from .topology import (
     ScalingSpec,
     Sparse,
     TopologyKind,
-    check_chain_size,
-    check_fan_in,
     make_chain_recurrent,
     make_input_matrix,
     make_interlayer_matrix,
@@ -77,14 +75,14 @@ def layer_sizes(total_units: int, num_layers: int) -> tuple[int, ...]:
 
 
 def check_layout(total_units: int, num_layers: int, topology: TopologyKind) -> None:
-    """Raise ValueError unless every matrix of such a reservoir can be drawn."""
-    sizes = layer_sizes(total_units, num_layers)
-    if isinstance(topology, Sparse):
-        check_fan_in(topology.fan_in, sizes[-1])  # the last layer is the smallest
-    if isinstance(topology, (Ring, Chain)):
-        check_chain_size(sizes[-1])
-    if num_layers > 1:
-        check_fan_in(INTERLAYER_FAN_IN, sizes[-2], "interlayer_fan_in")  # the smallest layer feeding another
+    """Raise ValueError unless every matrix of such a reservoir can be drawn; the builders trust this check."""
+    *feeding, smallest = layer_sizes(total_units, num_layers)  # the last layer is the smallest
+    if isinstance(topology, Sparse) and not 1 <= topology.fan_in <= smallest:
+        raise ValueError(f"fan_in must be in [1, {smallest}], got {topology.fan_in}")
+    if isinstance(topology, (Ring, Chain)) and smallest < 2:
+        raise ValueError(f"a chain or ring needs at least 2 units, got {smallest}")
+    if feeding and INTERLAYER_FAN_IN > feeding[-1]:  # the smallest layer feeding another
+        raise ValueError(f"interlayer_fan_in must be in [1, {feeding[-1]}], got {INTERLAYER_FAN_IN}")
 
 
 @dataclass(frozen=True)

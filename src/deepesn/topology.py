@@ -10,6 +10,10 @@ Sparse recurrent matrices are rescaled to a target spectral radius; input
 and inter-layer matrices are rescaled to a target matrix 2-norm.  Both
 measurements are exact dense LAPACK computations: the radius from the full
 eigenvalue spectrum, the norm from the largest singular value.
+
+The ``make_*`` builders trust their arguments: sizes and fan-ins are checked
+once per reservoir by ``reservoir.check_layout``, and the scalings by
+:class:`ScalingSpec`.
 """
 
 from __future__ import annotations
@@ -115,30 +119,13 @@ def _rescaled(raw: np.ndarray, measure, target: float, label: str) -> np.ndarray
     return raw
 
 
-def check_fan_in(fan_in: int, n: int, label: str = "fan_in") -> None:
-    """Raise ValueError unless ``n`` source units can give every row ``fan_in`` distinct inputs."""
-    if not 1 <= fan_in <= n:
-        raise ValueError(f"{label} must be in [1, {n}], got {fan_in}")
-
-
-def check_chain_size(n: int) -> None:
-    """Raise ValueError unless ``n`` units can form a chain or ring."""
-    if n < 2:
-        raise ValueError(f"a chain or ring needs at least 2 units, got {n}")
-
-
 def make_sparse_recurrent(n: int, fan_in: int, rho: float, rng: np.random.Generator) -> np.ndarray:
     """Sparse recurrent matrix with in-degree ``fan_in``, rescaled to spectral radius ``rho``."""
-    check_fan_in(fan_in, n)
-    _require_positive("rho", rho)
     return _rescaled(_sparse_uniform(n, n, fan_in, rng), spectral_radius, rho, f"sparse {n}x{n} draw")
 
 
 def make_permutation_recurrent(n: int, weight: float, rng: np.random.Generator) -> np.ndarray:
     """Scaled random permutation matrix; its spectral radius is exactly ``weight``."""
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
-    _require_positive("weight", weight)
     out = np.zeros((n, n))
     out[rng.permutation(n), np.arange(n)] = weight  # column j feeds row perm[j]
     return out
@@ -157,8 +144,6 @@ def make_chain_recurrent(n: int, weight: float) -> np.ndarray:
     The scaling hyperparameter is still applied as the sub-diagonal weight,
     so a chain layer shares the search space of the other topologies.
     """
-    check_chain_size(n)
-    _require_positive("weight", weight)
     out = np.zeros((n, n))
     out[np.arange(1, n), np.arange(0, n - 1)] = weight
     return out
@@ -166,14 +151,11 @@ def make_chain_recurrent(n: int, weight: float) -> np.ndarray:
 
 def make_input_matrix(n_r: int, omega_in: float, rng: np.random.Generator) -> np.ndarray:
     """Dense uniform [-1, 1] ``(n_r, 1)`` column rescaled so its 2-norm equals ``omega_in``."""
-    _require_positive("omega_in", omega_in)
     return _rescaled(rng.uniform(-1.0, 1.0, size=(n_r, 1)), operator_norm, omega_in, f"input {n_r}x1 draw")
 
 
 def make_interlayer_matrix(n_to: int, n_from: int, fan_in: int, omega_il: float, rng: np.random.Generator) -> np.ndarray:
     """Layer-to-layer matrix: ``fan_in`` non-zeros per row, 2-norm rescaled to ``omega_il``."""
-    check_fan_in(fan_in, n_from)
-    _require_positive("omega_il", omega_il)
     return _rescaled(_sparse_uniform(n_to, n_from, fan_in, rng), operator_norm, omega_il,
                      f"inter-layer {n_to}x{n_from} draw")
 

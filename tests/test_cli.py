@@ -31,14 +31,19 @@ def with_overrides(argv, overrides):
     return argv
 
 
-def assert_rejected_before_any_work(argv, capsys, monkeypatch):
-    """The command exits as a usage error without making any data."""
+def forbid_data(monkeypatch):
+    """Make any call to ``make_task`` fail the test."""
     import deepesn.cli as cli_module
 
     def no_data(*args, **kwargs):
         raise AssertionError("data was made")
 
     monkeypatch.setattr(cli_module, "make_task", no_data)
+
+
+def assert_rejected_before_any_work(argv, capsys, monkeypatch):
+    """The command exits as a usage error without making any data."""
+    forbid_data(monkeypatch)
     code, _, err = run_cli(argv, capsys)
     assert code == 2
     assert "no trial can run" in err
@@ -101,7 +106,7 @@ class TestGenerate:
         def flaky(length, seed, **kwargs):
             calls.append(seed)
             if seed == 5:
-                raise DivergenceError("boom", seed=seed)
+                raise DivergenceError("boom")
             return real(length, seed, **kwargs)
 
         monkeypatch.setattr(cli_module, "generate_narma10", flaky)
@@ -179,12 +184,21 @@ class TestEval:
         assert_rejected_before_any_work(argv, capsys, monkeypatch)
         assert not (tmp_path / "eval_result.txt").exists()
 
-    def test_negative_rho_rejected_by_parser(self, capsys):
-        argv = EVAL_ARGS.copy()
-        argv[argv.index("--rho") + 1] = "-0.5"
+    @pytest.mark.parametrize("value", ["-0.5", "inf", "nan"])
+    @pytest.mark.parametrize("flag", ["--rho", "--omega-in", "--omega-il"])
+    def test_bad_scaling_rejected_by_parser(self, flag, value, capsys, monkeypatch):
+        forbid_data(monkeypatch)
         with pytest.raises(SystemExit) as excinfo:
-            main(argv)
+            main(with_overrides(EVAL_ARGS, {flag: value}))
         assert excinfo.value.code == 2
+        assert "positive and finite" in capsys.readouterr().err
+
+    def test_missing_openblas_is_reported(self, capsys, monkeypatch):
+        # without a pinned BLAS the MSEs may depend on its thread count, so the run says so
+        monkeypatch.setattr("deepesn.experiment._openblas_thread_calls", lambda: [])
+        code, out, err = run_cli(EVAL_ARGS, capsys)
+        assert code == 0 and "test MSE" in out
+        assert err.count("no OpenBLAS found") == 1
 
 
 BENCH_ARGS = [
@@ -229,6 +243,23 @@ class TestBenchmark:
         run_cli(BENCH_ARGS + ["--out", str(tmp_path / "r2")], capsys)
         assert (tmp_path / "r1/trials.tsv").read_bytes() == (tmp_path / "r2/trials.tsv").read_bytes()
         assert (tmp_path / "r1/report.txt").read_bytes() == (tmp_path / "r2/report.txt").read_bytes()
+
+    def test_eval_reproduces_logged_trials(self, tmp_path, capsys):
+        run_cli(BENCH_ARGS + ["--out", str(tmp_path)], capsys)
+        rows = deepesn.load_trial_log(tmp_path / "trials.tsv")
+        shallow = next(row for row in rows if row["topology"] == "sparse" and row["group"] == "shallow")
+        deep = next(row for row in rows if row["topology"] == "permutation" and row["group"] == "deep")
+        for row in (shallow, deep):
+            code, out, _ = run_cli(
+                ["eval", "--task", "narma10", "--topology", row["topology"], "--layers", str(row["layers"]),
+                 "--rho", repr(row["rho"]), "--omega-in", repr(row["omega_in"]),
+                 "--omega-il", repr(row["omega_il"]), "--guesses", str(row["guesses"]),
+                 "--seed", "9", "--units", "20", *TINY],
+                capsys,
+            )
+            assert code == 0
+            assert f"validation MSE: {row['val_mse_mean']:.6e} " in out
+            assert f"test MSE:       {row['test_mse_mean']:.6e} " in out
 
     def test_missing_laser_skipped_with_partial_exit(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv(LASER_PATH_ENV, raising=False)
@@ -288,12 +319,7 @@ class TestBenchmark:
 
     @pytest.mark.parametrize("overrides", BENCH_BAD_LISTS.values(), ids=BENCH_BAD_LISTS.keys())
     def test_unknown_or_repeated_name_is_a_usage_error(self, overrides, tmp_path, capsys, monkeypatch):
-        import deepesn.cli as cli_module
-
-        def no_data(*args, **kwargs):
-            raise AssertionError("data was made")
-
-        monkeypatch.setattr(cli_module, "make_task", no_data)
+        forbid_data(monkeypatch)
         argv = with_overrides(BENCH_ARGS + ["--out", str(tmp_path)], overrides)
         with pytest.raises(SystemExit) as excinfo:
             main(argv)

@@ -114,6 +114,33 @@ class TestBuildReservoir:
         with pytest.raises(ValueError, match="at least 2 units"):
             small_spec(total_units=1, num_layers=1, topology=Ring())
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 6), st.sampled_from(["sparse", "permutation", "ring", "chain"]),
+           st.integers(0, 9), st.integers(0, 2**32 - 1))
+    def test_spec_check_covers_every_builder_precondition(self, total_units, num_layers, kind, fan_in, seed):
+        # the builders trust their arguments, so the spec must reject exactly what they cannot draw
+        def unbuildable():
+            if total_units < num_layers:
+                return True
+            sizes = layer_sizes(total_units, num_layers)
+            return (
+                (kind == "sparse" and not 1 <= fan_in <= min(sizes))
+                or (kind in ("ring", "chain") and min(sizes) < 2)
+                or (num_layers > 1 and min(sizes[:-1]) < INTERLAYER_FAN_IN)
+            )
+
+        layout = dict(total_units=total_units, num_layers=num_layers, topology=parse_topology(kind, fan_in=fan_in))
+        if unbuildable():
+            with pytest.raises(ValueError):
+                small_spec(**layout, seed=seed)
+            return
+        res = build_reservoir(small_spec(**layout, seed=seed))
+        for index, lw in enumerate(res.layers):
+            if kind == "sparse":
+                assert (np.count_nonzero(lw.recurrent, axis=1) == fan_in).all()
+            if index > 0:
+                assert (np.count_nonzero(lw.inbound, axis=1) == INTERLAYER_FAN_IN).all()
+
 
 def manual_two_layer():
     """1-unit-per-layer reservoir with hand-picked weights."""
