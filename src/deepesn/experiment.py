@@ -21,6 +21,7 @@ import hashlib
 import multiprocessing
 import struct
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -162,13 +163,15 @@ def evaluate_trial(
     """Score one configuration as mean/std MSE over fresh network guesses.
 
     Every guess builds a completely new reservoir from a seed derived from
-    (master seed, topology, layer count, hyperparameters, guess index), runs
-    it once over the whole series, then fits two readouts on post-washout
-    rows: one on the fit range scored on the validation range, and one on
-    the full training range scored on the test range.  The training range
-    extends the fit range, so both readouts come from one call that
-    factorizes each training row once.  The guesses run at one OpenBLAS
-    thread, since the readout's sums depend on how BLAS splits them.
+    (master seed, topology, layer count, hyperparameters, guess index) and
+    fits two readouts on post-washout rows: one on the fit range scored on
+    the validation range, and one on the full training range scored on the
+    test range.  The training range extends the fit range, so both readouts
+    come from one call that factorizes each training row once.  The states
+    are those of one run over the whole series, computed in two legs so that
+    a guess holds one leg's states at a time: the training split, then the
+    test range resumed from the first leg's last state.  The guesses run at
+    one OpenBLAS thread: the readout's sums depend on how BLAS splits them.
     """
     if guesses < 1:
         raise ValueError(f"guesses must be at least 1, got {guesses}")
@@ -191,13 +194,16 @@ def evaluate_trial(
                 hyper.rho, hyper.omega_in, hyper.omega_il, guess,
             )
             spec = ReservoirSpec(total_units=total_units, num_layers=num_layers, topology=topology, scaling=hyper, seed=seed)
-            states = run(build_reservoir(spec), task.inputs)
+            reservoir = build_reservoir(spec)
+            states = run(reservoir, task.inputs[:train_end])  # the first leg: the training split
             val_fit, test_fit = readout.train_pseudo_inverse(
-                states[washout:train_end], targets[washout:train_end], (fit_end - washout, train_end - washout)
+                states[washout:], targets[washout:train_end], (fit_end - washout, train_end - washout)
             )
-            val_mses.append(readout.mse(states[fit_end:train_end] @ val_fit, targets[fit_end:train_end]))
-            test_mses.append(readout.mse(states[train_end:] @ test_fit, targets[train_end:]))
-            del states  # so the next guess's run does not hold two state arrays
+            val_mses.append(readout.mse(states[fit_end:] @ val_fit, targets[fit_end:train_end]))
+            last = states[-1].copy()
+            del states  # the copy of the last row keeps nothing else of the first leg alive during the second
+            test_predictions = run(reservoir, task.inputs[train_end:], initial_state=last) @ test_fit
+            test_mses.append(readout.mse(test_predictions, targets[train_end:]))
     finally:
         for set_threads, count in pinned:
             set_threads(count)
@@ -302,13 +308,17 @@ def _warn_if_unpinned() -> None:
 
 def _execute_jobs(jobs, workers: int, progress: bool = False):
     every = max(1, len(jobs) // 100)
+    start = time.perf_counter()
 
     def _collect(iterator):
         out = []
         for index, outcome in enumerate(iterator, start=1):
             out.append(outcome)
             if progress and (index % every == 0 or index == len(jobs)):
-                print(f"progress: {index}/{len(jobs)} trials", file=sys.stderr, flush=True)
+                rate = index / max(time.perf_counter() - start, 1e-9)
+                minutes, seconds = divmod(round((len(jobs) - index) / rate), 60)
+                print(f"progress: {index}/{len(jobs)} trials, {rate:.2f} trials/s, ETA {minutes}m{seconds:02d}s",
+                      file=sys.stderr, flush=True)
         return out
 
     _warn_if_unpinned()  # once per search; evaluate_trial pins in each process

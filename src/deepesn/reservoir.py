@@ -19,7 +19,9 @@ where ``R_l`` is the layer's recurrent matrix and ``V_l`` its inbound
 :func:`run` evaluates these equations with layer ``l`` (from 0) running
 ``l`` steps late.  Every layer then depends only on the previous skewed
 step, so the whole stack is one sparse block-bidiagonal matrix and each
-step is one sparse product and one ``tanh``, whatever the depth.
+step is one sparse product and one ``tanh``, whatever the depth.  A
+reservoir assembles that matrix, :attr:`DeepReservoir.stack`, on its first
+run and keeps it for the next.
 
 The product is computed by ``csr_matvec`` from the private module
 ``scipy.sparse._sparsetools``: the CSR kernel behind ``stack @ x``, called
@@ -34,6 +36,7 @@ the input's term is the last of each first-layer sum.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -125,6 +128,19 @@ class DeepReservoir:
     def total_units(self) -> int:
         return int(sum(self.layer_sizes))
 
+    @cached_property
+    def stack(self) -> scipy.sparse.csr_array:
+        """The CSR weights :func:`run` multiplies by, assembled on first use: ``(total_units, total_units + 1)``."""
+        num_layers = self.num_layers
+        # recurrent matrices on the diagonal, inbound ones just below it, the input weights in a last column
+        blocks = [[None] * (num_layers + 1) for _ in range(num_layers)]
+        blocks[0][num_layers] = scipy.sparse.csr_array(self.input_weights)
+        for l, lw in enumerate(self.layers):
+            blocks[l][l] = scipy.sparse.csr_array(lw.recurrent)
+            if l > 0:
+                blocks[l][l - 1] = scipy.sparse.csr_array(lw.inbound)
+        return scipy.sparse.block_array(blocks, format="csr")
+
 
 def _make_recurrent(kind: TopologyKind, n: int, rho: float, rng: np.random.Generator) -> np.ndarray:
     if isinstance(kind, Sparse):
@@ -182,8 +198,8 @@ def run(reservoir: DeepReservoir, inputs: Sequence, initial_state: Optional[np.n
     Layer ``l`` (from 0) is computed ``l`` steps late, so that at skewed
     step ``s`` it sees its own state and that of the layer below, both
     from step ``s - 1``, and the first also the input of step ``s``, stored
-    after them.  One product with ``stack`` (the block-bidiagonal weights,
-    then the input weights), written into the zeroed row of step ``s``,
+    after them.  One product with ``reservoir.stack`` (assembled once per
+    reservoir), written into the zeroed row of step ``s``,
     and one ``tanh`` in place advance every layer at once.  Layers that
     have not started yet are held at their initial state, and the skew is
     undone before the states are returned.
@@ -201,20 +217,11 @@ def run(reservoir: DeepReservoir, inputs: Sequence, initial_state: Optional[np.n
     if not np.all(np.isfinite(state0)):
         raise ValueError("initial state must be finite")
 
-    sizes = reservoir.layer_sizes
-    offsets = np.cumsum((0,) + sizes)
-    num_layers = len(sizes)
+    offsets = np.cumsum((0,) + reservoir.layer_sizes)
+    num_layers = reservoir.num_layers
     steps = u.shape[0]
     n = offsets[-1]
-
-    # recurrent matrices on the diagonal, inbound ones just below it, the input weights in a last column
-    blocks = [[None] * (num_layers + 1) for _ in range(num_layers)]
-    blocks[0][num_layers] = scipy.sparse.csr_array(reservoir.input_weights)
-    for l, lw in enumerate(reservoir.layers):
-        blocks[l][l] = scipy.sparse.csr_array(lw.recurrent)
-        if l > 0:
-            blocks[l][l - 1] = scipy.sparse.csr_array(lw.inbound)
-    stack = scipy.sparse.block_array(blocks, format="csr")
+    stack = reservoir.stack
 
     skewed = np.zeros((steps + num_layers - 1, n + 1))  # row s: skewed step s, then the input of step s + 1
     skewed[:max(steps - 1, 0), n] = u[1:, 0]

@@ -3,6 +3,7 @@
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 import deepesn
 from deepesn import (
+    Chain,
     Dataset,
     Permutation,
     Ring,
@@ -30,6 +32,7 @@ from deepesn import (
     load_trial_log,
     mse,
     random_stream,
+    run,
     run_benchmark_suite,
     sample_config,
     trial_log_table,
@@ -199,16 +202,45 @@ class TestEvaluateTrial:
         assert a.validation_mses == b.validation_mses
         assert a.test_mses == b.test_mses
 
-    def test_one_state_array_alive_at_a_time(self):
-        # a guess's states are dropped before the next guess runs; holding them peaks above 2.3 arrays
+    @pytest.mark.parametrize("topology, num_layers", [(Sparse(5), 2), (Permutation(), 1), (Permutation(), 5)],
+                             ids=["sparse-L2", "permutation-L1", "permutation-L5"])
+    def test_one_leg_of_states_alive_at_a_time(self, topology, num_layers):
+        # each guess runs the training split, then the test range, never holding both legs' states; the
+        # peak is one leg plus the readout's buffer, about 1.0 full-length state arrays, and one run over
+        # the whole series peaks at about 1.5
         task = generate_narma10(3000, seed=1, train_len=1500, washout=100, validation_len=300)
         tracemalloc.start()
         try:
-            evaluate_trial(task, Sparse(5), 2, ScalingSpec(0.9, 0.5, 0.8), 2, 7, total_units=200)
+            evaluate_trial(task, topology, num_layers, ScalingSpec(0.9, 0.5, 0.8), 2, 7, total_units=200)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.8 * 3000 * 200 * 8
+        assert peak <= 1.2 * 3000 * 200 * 8
+
+    @pytest.mark.parametrize("topology", [Sparse(3), Permutation(), Ring(), Chain()], ids=deepesn.topology_name)
+    @pytest.mark.parametrize("num_layers, length", [(1, 600), (3, 600), (3, 301)])
+    def test_two_legs_give_the_one_run_mses(self, tiny_task, monkeypatch, topology, num_layers, length):
+        # at 301 steps the test leg is one step, shorter than the deepest layer's lag of 2
+        task = Dataset(tiny_task.name, tiny_task.inputs[:length], tiny_task.targets[:length],
+                       train_len=300, washout=20, validation_len=80)
+        built = []
+        build = deepesn.experiment.build_reservoir
+        monkeypatch.setattr("deepesn.experiment.build_reservoir", lambda spec: built.append(build(spec)) or built[-1])
+        trial = evaluate_trial(task, topology, num_layers, ScalingSpec(0.9, 0.7, 0.6), 3, 11, total_units=20)
+
+        washout, fit_end, train_end = task.washout, task.train_len - task.validation_len, task.train_len
+        targets = task.targets[:, None]
+        expected = []
+        for reservoir in built:  # one run over the whole series, as before the split into legs
+            states = run(reservoir, task.inputs)
+            val_fit, test_fit = readout.train_pseudo_inverse(
+                states[washout:train_end], targets[washout:train_end], (fit_end - washout, train_end - washout)
+            )
+            expected.append((mse(states[fit_end:train_end] @ val_fit, targets[fit_end:train_end]),
+                             mse(states[train_end:] @ test_fit, targets[train_end:])))
+        assert len(built) == 3
+        assert repr(trial.validation_mses) == repr(tuple(v for v, _ in expected))
+        assert repr(trial.test_mses) == repr(tuple(t for _, t in expected))
 
     def test_mses_independent_of_caller_blas_threads(self, caller_at_two_blas_threads):
         # at 500 units the readout's BLAS calls split over 2 threads, which moves the MSEs' last digits
@@ -224,28 +256,35 @@ class TestEvaluateTrial:
             assert repr(trial.validation_mses + trial.test_mses) == repr(stored.validation_mses + stored.test_mses)
 
     def test_pins_one_blas_thread_and_restores_the_callers(self, tiny_task, caller_at_two_blas_threads, monkeypatch):
-        during = []
-        fit = readout.train_pseudo_inverse
+        # an OpenBLAS left at 2 threads after any BLAS call of a guess may spin on after it
+        during = {"run": [], "train_pseudo_inverse": [], "mse": []}
 
-        def recording(*args, **kwargs):
-            during.append(openblas_threads())
-            return fit(*args, **kwargs)
+        def recording(name, call):
+            def recorded(*args, **kwargs):
+                during[name].append(openblas_threads())
+                return call(*args, **kwargs)
+            return recorded
 
-        monkeypatch.setattr(readout, "train_pseudo_inverse", recording)
+        monkeypatch.setattr("deepesn.experiment.run", recording("run", run))
+        monkeypatch.setattr(readout, "train_pseudo_inverse", recording("train_pseudo_inverse", readout.train_pseudo_inverse))
+        monkeypatch.setattr(readout, "mse", recording("mse", readout.mse))
         args = (tiny_task, Sparse(3), 2, ScalingSpec(0.8, 0.6, 0.6), 2, 5)
         evaluate_trial(*args, total_units=20)
-        assert during and all(set(counts) == {1} for counts in during)
+        # per guess: the training leg, the test leg, one nested fit and a validation and a test score
+        assert {name: len(calls) for name, calls in during.items()} == {"run": 4, "train_pseudo_inverse": 2, "mse": 4}
+        assert all(set(counts) == {1} for calls in during.values() for counts in calls)
         assert set(openblas_threads()) == {2}
 
+        broken = []
+
         def broken_run(*args, **kwargs):
-            during.append(openblas_threads())
+            broken.append(openblas_threads())
             raise RuntimeError("broken guess")
 
-        during.clear()
         monkeypatch.setattr("deepesn.experiment.run", broken_run)
         with pytest.raises(RuntimeError, match="broken guess"):
             evaluate_trial(*args, total_units=20)
-        assert during and set(during[0]) == {1}
+        assert broken and set(broken[0]) == {1}
         assert set(openblas_threads()) == {2}
 
     def test_finds_openblas_under_a_path_with_spaces(self, tmp_path, monkeypatch):
@@ -378,6 +417,19 @@ class TestBenchmarkSuite:
         assert outside and all(set(counts) == {2} for counts in outside)
         assert inside and all(set(counts) == {1} for counts in inside)
         assert set(openblas_threads()) == {2}
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_progress_lines_show_rate_and_eta(self, tiny_task, capsys, workers):
+        space = replace(TINY_SPACE, guesses=1)
+        self.suite(tiny_task, space, workers=workers, progress=True)
+        lines = [line for line in capsys.readouterr().err.splitlines() if line.startswith("progress:")]
+        trials = 2 * 2 * space.configs_per_layer  # two topologies, each with a shallow and a deep search
+        assert len(lines) == trials  # under 100 trials, every trial is reported
+        for index, line in enumerate(lines, start=1):
+            assert re.fullmatch(rf"progress: {index}/{trials} trials, \d+\.\d\d trials/s, ETA \d+m[0-5]\ds", line)
+        assert lines[-1].endswith("ETA 0m00s")
+        self.suite(tiny_task, space, workers=workers)
+        assert "progress" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_missing_openblas_is_reported_once(self, tiny_task, capsys, monkeypatch, workers):

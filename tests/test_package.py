@@ -1,8 +1,11 @@
 """The package's export list and the project's pytest configuration."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import deepesn
 
@@ -33,3 +36,33 @@ def test_failing_property_reports_its_example(tmp_path):
     )
     assert done.returncode == 1, done.stdout + done.stderr
     assert "Falsifying example" in done.stdout
+
+
+ONE_GUESS_PER_TOPOLOGY = """
+import sys
+import deepesn.cli
+from deepesn import ScalingSpec, evaluate_trial, generate_narma10, parse_topology
+
+task = generate_narma10(400, seed=1, train_len=200, washout=20, validation_len=50)
+for name in ("sparse", "permutation", "ring", "chain"):
+    evaluate_trial(task, parse_topology(name), 2, ScalingSpec(0.9, 0.5, 0.5), 1, 0, total_units=20)
+print("scipy.linalg" in sys.modules)
+with open("/proc/self/maps", encoding="utf-8") as maps:
+    fields = (line.rstrip("\\n").split(maxsplit=5) for line in maps)
+    print(*sorted({f[5] for f in fields if len(f) == 6 and "openblas" in f[5]}), sep="\\n")
+"""
+
+
+def test_one_openblas_and_no_scipy_linalg():
+    # scipy.linalg would load scipy's own OpenBLAS next to numpy's: at paper size that cost
+    # about 0.09 s of set-up and 16 MB of peak memory, and a second library to pin
+    if not Path("/proc/self/maps").exists():
+        pytest.skip("no /proc/self/maps to list the loaded libraries")
+    src = str(Path(deepesn.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", ONE_GUESS_PER_TOPOLOGY],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    linalg_loaded, *libraries = done.stdout.splitlines()
+    assert linalg_loaded == "False"
+    assert len(libraries) == 1, libraries

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
@@ -230,6 +231,16 @@ class TestRun:
         full = run(res, inputs, initial_state=start)
         assert np.array_equal(run(res, inputs[:k], initial_state=start), full[:k])
         assert np.array_equal(run(res, inputs[k:], initial_state=full[k - 1]), full[k:])
+
+    def test_stack_is_assembled_once_per_reservoir(self, monkeypatch):
+        calls = []
+        assemble = scipy.sparse.block_array
+        monkeypatch.setattr(scipy.sparse, "block_array", lambda *args, **kwargs: calls.append(1) or assemble(*args, **kwargs))
+        res = build_reservoir(small_spec())
+        inputs = np.cos(np.arange(60) * 0.3)
+        first = run(res, inputs[:20])
+        assert np.array_equal(run(res, inputs[20:], initial_state=first[-1]), run(res, inputs)[20:])
+        assert len(calls) == 1
 
     def test_input_shape_errors(self):
         res = build_reservoir(small_spec())
