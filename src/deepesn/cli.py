@@ -12,6 +12,7 @@ import os
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
+from typing import get_args
 
 from . import __version__
 from .datasets import (
@@ -34,12 +35,12 @@ from .experiment import (
     _warn_if_unpinned,
 )
 from .reservoir import check_layout
-from .topology import ScalingSpec, parse_topology
+from .topology import ScalingSpec, TopologyKind, parse_topology
 
 LASER_PATH_ENV = "DEEPESN_LASER_PATH"
 GENERATED_TASKS = ("narma10", "mg17", "mg30")
 ALL_TASKS = GENERATED_TASKS + ("laser",)
-ALL_TOPOLOGIES = ("sparse", "permutation", "ring", "chain")
+ALL_TOPOLOGIES = tuple(kind.name for kind in get_args(TopologyKind))
 
 
 class UsageError(Exception):
@@ -101,10 +102,6 @@ def _reject_unrunnable(args, task_names, topologies, layer_counts) -> None:
         raise UsageError(f"no trial can run with these arguments: {exc}") from None
 
 
-def _mg_params(task: str) -> MGParams:
-    return MGParams(tau=17.0) if task == "mg17" else MGParams(tau=30.0)
-
-
 def make_task(name: str, *, seed: int, length: int, laser_path: str | None = None, **split) -> tuple[Dataset, dict]:
     """Build one benchmark dataset, with ``split`` passed to :class:`Dataset`, plus its generator metadata.
 
@@ -125,8 +122,8 @@ def make_task(name: str, *, seed: int, length: int, laser_path: str | None = Non
         meta = {"dataset.narma10.seed": attempt, "dataset.narma10.length": length}
         return dataset, meta
     if name in ("mg17", "mg30"):
-        params = _mg_params(name)
-        dataset = generate_mackey_glass(params, length, name=name, **split)
+        params = MGParams(tau=17.0 if name == "mg17" else 30.0)
+        dataset = generate_mackey_glass(params, length, **split)
         meta = {f"dataset.{name}.{key}": value for key, value in {**asdict(params), "length": length}.items()}
         return dataset, meta
     if name == "laser":

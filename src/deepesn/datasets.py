@@ -19,6 +19,10 @@ import numpy as np
 
 from .topology import random_stream
 
+__all__ = [
+    "Dataset", "MGParams", "DivergenceError", "generate_narma10", "generate_mackey_glass", "load_laser", "save_series",
+]
+
 NARMA_ORDER = 10
 LASER_EXPECTED_SAMPLES = 10092
 
@@ -170,15 +174,13 @@ def mackey_glass_raw(params: MGParams, count: int) -> np.ndarray:
     return out
 
 
-def generate_mackey_glass(
-    params: MGParams = MGParams(), length: int = 10000, *, name: str | None = None, **split
-) -> Dataset:
-    """Mackey-Glass next-step task on the squashed series tanh(u - 1)."""
+def generate_mackey_glass(params: MGParams = MGParams(), length: int = 10000, **split) -> Dataset:
+    """Mackey-Glass next-step task on the squashed series tanh(u - 1), named ``mg`` plus ``tau``."""
     if length < 2:
         raise ValueError(f"length must be at least 2, got {length}")
     raw = mackey_glass_raw(params, length + 1)
     squashed = np.tanh(raw - 1.0)
-    return Dataset(name or f"mg{params.tau:g}", squashed[:-1], squashed[1:], **split)
+    return Dataset(f"mg{params.tau:g}", squashed[:-1], squashed[1:], **split)
 
 
 def load_laser(path, **split) -> Dataset:

@@ -33,7 +33,13 @@ import numpy as np
 from . import readout
 from .datasets import Dataset
 from .reservoir import INTERLAYER_FAN_IN, ReservoirSpec, build_reservoir, run
-from .topology import ScalingSpec, Sparse, TopologyKind, parse_topology, random_stream, topology_name
+from .topology import ScalingSpec, Sparse, TopologyKind, parse_topology, random_stream
+
+__all__ = [
+    "SearchSpace", "TrialResult", "SearchResult", "BenchmarkEntry", "ExperimentReport", "FULL_BUDGET",
+    "REDUCED_BUDGET", "sample_config", "derive_seed", "evaluate_trial", "run_benchmark_suite", "format_report",
+    "trial_log_table", "load_trial_log",
+]
 
 SHALLOW_GROUP = "shallow"
 DEEP_GROUP = "deep"
@@ -101,7 +107,7 @@ def derive_seed(*parts) -> int:
 
 def _topology_parts(kind: TopologyKind) -> tuple[str, int]:
     fan_in = kind.fan_in if isinstance(kind, Sparse) else 0
-    return topology_name(kind), fan_in
+    return kind.name, fan_in
 
 
 @dataclass(frozen=True)
@@ -369,7 +375,7 @@ def run_benchmark_suite(
     results = [SearchResult(group, tuple(islice(outcomes, len(jobs)))) for _, _, group, jobs in searches]
     # searches alternate shallow, deep for each (task, topology)
     entries = tuple(
-        BenchmarkEntry(task=task.name, topology=topology_name(topology), shallow=shallow, deep=deep)
+        BenchmarkEntry(task=task.name, topology=topology.name, shallow=shallow, deep=deep)
         for (task, topology, _, _), shallow, deep in zip(searches[::2], results[::2], results[1::2])
     )
 
@@ -387,7 +393,7 @@ def run_benchmark_suite(
         "omega_il_range": f"({space.omega_il_range[0]!r}, {space.omega_il_range[1]!r}]",
         "std_convention": "population",
         "tasks": ",".join(task.name for task in tasks),
-        "topologies": ",".join(topology_name(t) for t in topologies),
+        "topologies": ",".join(t.name for t in topologies),
     }
     if metadata:
         meta.update({str(k): str(v) for k, v in metadata.items()})

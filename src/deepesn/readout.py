@@ -13,6 +13,8 @@ from __future__ import annotations
 import numpy as np
 from numpy.linalg import LinAlgError, lapack_lite
 
+__all__ = ["train_pseudo_inverse", "mse", "DEFAULT_RCOND"]
+
 DEFAULT_RCOND = 1e-12
 
 

@@ -45,19 +45,16 @@ from scipy.sparse._sparsetools import csr_matvec
 
 from .topology import (
     Chain,
-    Permutation,
     Ring,
     ScalingSpec,
     Sparse,
     TopologyKind,
-    make_chain_recurrent,
     make_input_matrix,
     make_interlayer_matrix,
-    make_permutation_recurrent,
-    make_ring_recurrent,
-    make_sparse_recurrent,
     random_stream,
 )
+
+__all__ = ["ReservoirSpec", "DeepReservoir", "LayerWeights", "build_reservoir", "run", "INTERLAYER_FAN_IN"]
 
 INTERLAYER_FAN_IN = 5
 
@@ -114,15 +111,22 @@ class LayerWeights:
 
 @dataclass(frozen=True)
 class DeepReservoir:
-    """Immutable bundle of all untrained weights of a deep reservoir."""
+    """Immutable bundle of all untrained weights of a deep reservoir.
+
+    The layer sizes are read off the recurrent matrices' row counts, and
+    :attr:`stack` checks once that all the weights fit them.
+    """
 
     input_weights: np.ndarray
     layers: tuple[LayerWeights, ...]
-    layer_sizes: tuple[int, ...]
 
     @property
     def num_layers(self) -> int:
         return len(self.layers)
+
+    @property
+    def layer_sizes(self) -> tuple[int, ...]:
+        return tuple(lw.recurrent.shape[0] for lw in self.layers)
 
     @property
     def total_units(self) -> int:
@@ -130,7 +134,10 @@ class DeepReservoir:
 
     @cached_property
     def stack(self) -> scipy.sparse.csr_array:
-        """The CSR weights :func:`run` multiplies by, assembled on first use: ``(total_units, total_units + 1)``."""
+        """The CSR weights :func:`run` multiplies by, assembled on first use: ``(total_units, total_units + 1)``.
+
+        Raises ``ValueError`` if the weights do not fit the layer sizes.
+        """
         num_layers = self.num_layers
         # recurrent matrices on the diagonal, inbound ones just below it, the input weights in a last column
         blocks = [[None] * (num_layers + 1) for _ in range(num_layers)]
@@ -139,19 +146,11 @@ class DeepReservoir:
             blocks[l][l] = scipy.sparse.csr_array(lw.recurrent)
             if l > 0:
                 blocks[l][l - 1] = scipy.sparse.csr_array(lw.inbound)
-        return scipy.sparse.block_array(blocks, format="csr")
-
-
-def _make_recurrent(kind: TopologyKind, n: int, rho: float, rng: np.random.Generator) -> np.ndarray:
-    if isinstance(kind, Sparse):
-        return make_sparse_recurrent(n, kind.fan_in, rho, rng)
-    if isinstance(kind, Permutation):
-        return make_permutation_recurrent(n, rho, rng)
-    if isinstance(kind, Ring):
-        return make_ring_recurrent(n, rho)
-    if isinstance(kind, Chain):
-        return make_chain_recurrent(n, rho)
-    raise TypeError(f"unknown topology kind: {kind!r}")
+        stack = scipy.sparse.block_array(blocks, format="csr")
+        n = self.total_units
+        if stack.shape != (n, n + 1):  # run's kernel trusts this shape
+            raise ValueError(f"weights of shape {stack.shape} do not fit layers of {self.layer_sizes} units")
+        return stack
 
 
 def build_reservoir(spec: ReservoirSpec) -> DeepReservoir:
@@ -166,9 +165,7 @@ def build_reservoir(spec: ReservoirSpec) -> DeepReservoir:
     input_weights.setflags(write=False)
     layers = []
     for index, n in enumerate(sizes):
-        recurrent = _make_recurrent(
-            spec.topology, n, spec.scaling.rho, random_stream(spec.seed, _STREAM_RECURRENT, index)
-        )
+        recurrent = spec.topology.recurrent(n, spec.scaling.rho, random_stream(spec.seed, _STREAM_RECURRENT, index))
         recurrent.setflags(write=False)
         inbound = None
         if index > 0:
@@ -181,7 +178,7 @@ def build_reservoir(spec: ReservoirSpec) -> DeepReservoir:
             )
             inbound.setflags(write=False)
         layers.append(LayerWeights(recurrent=recurrent, inbound=inbound))
-    return DeepReservoir(input_weights=input_weights, layers=tuple(layers), layer_sizes=sizes)
+    return DeepReservoir(input_weights=input_weights, layers=tuple(layers))
 
 
 def run(reservoir: DeepReservoir, inputs: Sequence, initial_state: Optional[np.ndarray] = None) -> np.ndarray:

@@ -3,8 +3,9 @@
 Recurrent matrices come in four flavours: plain sparse (the usual ESN
 baseline), permutation (one non-zero per row and column, orthogonal up to
 the weight value), ring (one global cycle) and chain (a delay line, which
-is nilpotent).  Sparse and permutation matrices are drawn from an explicit
-random stream; ring and chain are fully deterministic.
+is nilpotent).  Each kind carries its ``name`` and builds its own recurrent
+matrix with :meth:`recurrent`.  Sparse and permutation matrices are drawn
+from an explicit random stream; ring and chain are fully deterministic.
 
 Sparse recurrent matrices are rescaled to a target spectral radius; input
 and inter-layer matrices are rescaled to a target matrix 2-norm.  Both
@@ -19,9 +20,14 @@ once per reservoir by ``reservoir.check_layout``, and the scalings by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import ClassVar, Union, get_args
 
 import numpy as np
+
+__all__ = [
+    "Sparse", "Permutation", "Ring", "Chain", "TopologyKind", "ScalingSpec",
+    "DegenerateMatrixError", "spectral_radius", "operator_norm", "random_stream", "parse_topology",
+]
 
 _DEGENERATE_FLOOR = 1e-12
 
@@ -34,41 +40,54 @@ class DegenerateMatrixError(RuntimeError):
 class Sparse:
     """Randomly connected layer; every unit receives ``fan_in`` inputs."""
 
+    name: ClassVar[str] = "sparse"
     fan_in: int = 5
+
+    def recurrent(self, n: int, rho: float, rng: np.random.Generator) -> np.ndarray:
+        return make_sparse_recurrent(n, self.fan_in, rho, rng)
 
 
 @dataclass(frozen=True)
 class Permutation:
     """Recurrence matrix is a scaled random permutation (disjoint cycles)."""
 
+    name: ClassVar[str] = "permutation"
+
+    def recurrent(self, n: int, rho: float, rng: np.random.Generator) -> np.ndarray:
+        return make_permutation_recurrent(n, rho, rng)
+
 
 @dataclass(frozen=True)
 class Ring:
     """All units form a single cycle."""
+
+    name: ClassVar[str] = "ring"
+
+    def recurrent(self, n: int, rho: float, rng: np.random.Generator) -> np.ndarray:
+        return make_ring_recurrent(n, rho)
 
 
 @dataclass(frozen=True)
 class Chain:
     """Units form a delay line; the matrix is nilpotent."""
 
+    name: ClassVar[str] = "chain"
+
+    def recurrent(self, n: int, rho: float, rng: np.random.Generator) -> np.ndarray:
+        return make_chain_recurrent(n, rho)
+
 
 TopologyKind = Union[Sparse, Permutation, Ring, Chain]
 
-_TOPOLOGY_NAMES = {Sparse: "sparse", Permutation: "permutation", Ring: "ring", Chain: "chain"}
-
-
-def topology_name(kind: TopologyKind) -> str:
-    """Short lower-case label for a topology value."""
-    return _TOPOLOGY_NAMES[type(kind)]
-
 
 def parse_topology(name: str, fan_in: int = 5) -> TopologyKind:
-    """Inverse of :func:`topology_name`; ``fan_in`` only applies to sparse."""
-    table = {"sparse": Sparse(fan_in=fan_in), "permutation": Permutation(), "ring": Ring(), "chain": Chain()}
+    """The topology whose ``name`` is ``name``; ``fan_in`` only applies to sparse."""
+    kinds = {kind.name: kind for kind in get_args(TopologyKind)}
     try:
-        return table[name.lower()]
+        kind = kinds[name.lower()]
     except KeyError:
-        raise ValueError(f"unknown topology {name!r}; expected one of {sorted(table)}") from None
+        raise ValueError(f"unknown topology {name!r}; expected one of {sorted(kinds)}") from None
+    return Sparse(fan_in=fan_in) if kind is Sparse else kind()
 
 
 @dataclass(frozen=True)

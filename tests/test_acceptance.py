@@ -149,8 +149,8 @@ def _ci_tasks():
     splits = dict(train_len=300, washout=20, validation_len=80)
     return [
         d.generate_narma10(600, 1, **splits),
-        d.generate_mackey_glass(d.MGParams(tau=17.0), 600, name="mg17", **splits),
-        d.generate_mackey_glass(d.MGParams(tau=30.0), 600, name="mg30", **splits),
+        d.generate_mackey_glass(d.MGParams(tau=17.0), 600, **splits),
+        d.generate_mackey_glass(d.MGParams(tau=30.0), 600, **splits),
     ]
 
 

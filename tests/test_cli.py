@@ -63,6 +63,13 @@ class TestMakeTask:
         assert [f"{key} = {value}" for key, value in meta.items()] == lines
         assert (dataset.name, dataset.train_len, dataset.washout, dataset.validation_len) == (name, 300, 20, 80)
 
+    def test_narma_diverging_seed_moves_to_the_next(self, capsys):
+        # seed 15 diverges at 10000 steps and seed 16 does not
+        dataset, meta = make_task("narma10", seed=15, length=10000)
+        assert meta["dataset.narma10.seed"] == 16
+        assert len(dataset) == 10000
+        assert capsys.readouterr().err == "warning: narma10 seed 15 diverged, retrying with 16\n"
+
 
 class TestGenerate:
     def test_writes_series_and_metadata(self, tmp_path, capsys):
@@ -193,6 +200,13 @@ class TestEval:
         assert excinfo.value.code == 2
         assert "positive and finite" in capsys.readouterr().err
 
+    def test_missing_laser_file_is_a_runtime_error(self, tmp_path, capsys):
+        missing = tmp_path / "laser.txt"
+        code, out, err = run_cli(with_overrides(EVAL_ARGS, {"--task": "laser"}) + ["--laser-path", str(missing)], capsys)
+        assert code == 1
+        assert err == f"error: [Errno 2] No such file or directory: {str(missing)!r}\n"
+        assert not out
+
     def test_missing_openblas_is_reported(self, capsys, monkeypatch):
         # without a pinned BLAS the MSEs may depend on its thread count, so the run says so
         monkeypatch.setattr("deepesn.experiment._openblas_thread_calls", lambda: [])
@@ -263,15 +277,18 @@ class TestBenchmark:
 
     def test_missing_laser_skipped_with_partial_exit(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv(LASER_PATH_ENV, raising=False)
-        code, out, err = run_cli(
-            ["benchmark", "--tasks", "narma10,laser", "--topologies", "ring",
-             "--configs", "1", "--guesses", "1", "--layers", "2", "--units", "20",
-             "--seed", "9", "--quiet", "--out", str(tmp_path), *TINY],
-            capsys,
-        )
+        argv = ["benchmark", "--tasks", "narma10,laser", "--topologies", "ring",
+                "--configs", "1", "--guesses", "1", "--layers", "2", "--units", "20",
+                "--seed", "9", "--quiet", "--out", str(tmp_path), *TINY]
+        code, out, err = run_cli(argv, capsys)
         assert code == 1
         assert "skipping task laser" in err
         assert "task: narma10" in (tmp_path / "report.txt").read_text()
+        # with the laser task alone, no task is left and nothing is written
+        code, out, err = run_cli(with_overrides(argv, {"--tasks": "laser", "--out": str(tmp_path / "none")}), capsys)
+        assert code == 1
+        assert err.endswith("error: no tasks left to run\n")
+        assert not (tmp_path / "none").exists()
 
     def test_laser_path_from_environment(self, tmp_path, capsys, monkeypatch):
         laser_file = tmp_path / "laser.txt"
@@ -286,6 +303,17 @@ class TestBenchmark:
             )
         assert code == 0
         assert "task: laser" in (tmp_path / "out/report.txt").read_text()
+
+    def test_raising_trial_writes_the_report_and_exits_1(self, tmp_path, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("broken trial")
+
+        monkeypatch.setattr("deepesn.experiment.evaluate_trial", broken)
+        code, out, _ = run_cli(BENCH_ARGS + ["--out", str(tmp_path)], capsys)
+        assert code == 1
+        report = (tmp_path / "report.txt").read_text()
+        assert "isolated failures:\n  narma10/sparse/L=1/config=0: RuntimeError: broken trial\n" in report
+        assert report in out
 
     @pytest.mark.parametrize("layers", ["a", "0", "2,0"])
     def test_bad_layers_is_a_usage_error(self, layers, tmp_path, capsys):

@@ -67,6 +67,11 @@ class TestNarma10:
         with pytest.raises(DivergenceError):
             narma10_targets(np.full(5000, 0.5))
 
+    def test_real_seed_divergence_names_the_seed(self):
+        # 125 of seeds 0-2999 diverge at 10000 steps; 15 is the first
+        with pytest.raises(DivergenceError, match="diverged for seed 15$"):
+            generate_narma10(10000, 15)
+
 
 class TestMackeyGlass:
     def test_squashed_range_and_alignment(self):

@@ -19,6 +19,7 @@ import deepesn
 from deepesn import (
     Chain,
     Dataset,
+    MGParams,
     Permutation,
     Ring,
     ScalingSpec,
@@ -28,6 +29,7 @@ from deepesn import (
     derive_seed,
     evaluate_trial,
     format_report,
+    generate_mackey_glass,
     generate_narma10,
     load_trial_log,
     mse,
@@ -217,7 +219,7 @@ class TestEvaluateTrial:
             tracemalloc.stop()
         assert peak <= 1.2 * 3000 * 200 * 8
 
-    @pytest.mark.parametrize("topology", [Sparse(3), Permutation(), Ring(), Chain()], ids=deepesn.topology_name)
+    @pytest.mark.parametrize("topology", [Sparse(3), Permutation(), Ring(), Chain()], ids=lambda kind: kind.name)
     @pytest.mark.parametrize("num_layers, length", [(1, 600), (3, 600), (3, 301)])
     def test_two_legs_give_the_one_run_mses(self, tiny_task, monkeypatch, topology, num_layers, length):
         # at 301 steps the test leg is one step, shorter than the deepest layer's lag of 2
@@ -488,6 +490,26 @@ class TestBenchmarkSuite:
         for key in ("master_seed", "configs_per_layer", "guesses", "rcond", "rho_range", "std_convention"):
             assert key in report.metadata
         assert report.metadata["dataset.narma10.seed"] == "3"
+
+    def test_report_over_two_tasks(self, tiny_task):
+        mg17 = generate_mackey_glass(MGParams(tau=17.0), 600, train_len=300, washout=20, validation_len=80)
+        report = run_benchmark_suite([tiny_task, mg17], ["sparse", "ring"], replace(TINY_SPACE, configs_per_layer=1),
+                                     7, total_units=20)
+        body, checks = format_report(report).split("ordering checks (deep test MSE < shallow test MSE):\n")
+        blocks = body.split("task: ")[1:]
+        assert len(blocks) == 2
+        for task, block in zip(("narma10", "mg17"), blocks):
+            name, _, *rows = filter(None, block.splitlines())  # the column header after the name
+            entries = [entry for entry in report.entries if entry.task == task]
+            assert name == task and len(entries) == 2
+            assert [row.split()[0] for row in rows] == ["sparse", "ring"]  # only this task's entries, in plan order
+            for row, entry in zip(rows, entries):
+                _, shallow, _, deep, *_ = row.split()
+                assert shallow == f"{entry.shallow.selected.test_mse_mean:.3e}"
+                assert deep == f"{entry.deep.selected.test_mse_mean:.3e}"
+        assert [line.split(":")[0].strip() for line in checks.splitlines() if line] == [
+            f"{task}/{topology}" for task in ("narma10", "mg17") for topology in ("sparse", "ring")
+        ]
 
     def test_report_text_and_log_round_trip(self, tiny_task, tmp_path):
         report = self.suite(tiny_task)

@@ -1,11 +1,17 @@
 """Deep reservoir construction and dynamics."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+import deepesn
 from deepesn import (
     Chain,
     DeepReservoir,
@@ -147,9 +153,7 @@ def manual_two_layer():
     """1-unit-per-layer reservoir with hand-picked weights."""
     first = LayerWeights(recurrent=np.array([[0.5]]))
     second = LayerWeights(recurrent=np.array([[0.5]]), inbound=np.array([[1.0]]))
-    return DeepReservoir(
-        input_weights=np.array([[1.0]]), layers=(first, second), layer_sizes=(1, 1)
-    )
+    return DeepReservoir(input_weights=np.array([[1.0]]), layers=(first, second))
 
 
 @st.composite
@@ -175,6 +179,15 @@ def reference_cases(draw):
     return spec, inputs, start
 
 
+NON_SQUARE_RUN = """
+import numpy as np
+from deepesn import DeepReservoir, LayerWeights, run
+
+layer = LayerWeights(recurrent=np.array([[0.5, 0.25, 0.125]]))
+print(run(DeepReservoir(input_weights=np.array([[1.0]]), layers=(layer,)), [0.5, -0.5]))
+"""
+
+
 class TestRun:
     def test_zero_input_zero_state_is_identically_zero(self):
         res = build_reservoir(small_spec())
@@ -185,7 +198,6 @@ class TestRun:
         res = DeepReservoir(
             input_weights=np.array([[1.0]]),
             layers=(LayerWeights(recurrent=np.array([[0.0]])),),
-            layer_sizes=(1,),
         )
         states = run(res, [0.5, -0.5])
         assert np.array_equal(states, np.tanh([[0.5], [-0.5]]))
@@ -198,6 +210,16 @@ class TestRun:
         x1_2 = np.tanh(1.0 + 0.5 * x1_1)
         x2_2 = np.tanh(x1_2 + 0.5 * x2_1)
         assert np.array_equal(states, np.array([[x1_1, x2_1], [x1_2, x2_2]]))
+
+    def test_weights_that_do_not_fit_the_layers_raise(self):
+        # a 1x3 recurrent matrix makes a (1, 4) stack for one unit; run's kernel trusts the stack's shape,
+        # so a child process keeps a crash, should the check be missing, from ending the test session
+        src = str(Path(deepesn.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", NON_SQUARE_RUN], capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert done.returncode == 1, done.stdout + done.stderr
+        assert done.stderr.splitlines()[-1] == "ValueError: weights of shape (1, 4) do not fit layers of (1,) units"
 
     def test_states_strictly_inside_unit_interval(self):
         res = build_reservoir(small_spec(topology=Permutation()))

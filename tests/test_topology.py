@@ -11,7 +11,6 @@ from deepesn import (
     parse_topology,
     random_stream,
     spectral_radius,
-    topology_name,
     Chain,
     Permutation,
     Ring,
@@ -289,7 +288,7 @@ def test_rescaled_matrices_measure_back_exactly(case):
 class TestNamesAndSpecs:
     def test_round_trip_names(self):
         for kind in (Sparse(5), Permutation(), Ring(), Chain()):
-            assert parse_topology(topology_name(kind)) == kind
+            assert parse_topology(kind.name) == kind
         assert parse_topology("sparse", fan_in=7) == Sparse(fan_in=7)
 
     def test_unknown_name(self):
