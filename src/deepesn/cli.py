@@ -35,7 +35,7 @@ from .experiment import (
     _warn_if_unpinned,
 )
 from .reservoir import check_layout
-from .topology import ScalingSpec, TopologyKind, parse_topology
+from .topology import ScalingSpec, Sparse, TopologyKind, parse_topology
 
 LASER_PATH_ENV = "DEEPESN_LASER_PATH"
 GENERATED_TASKS = ("narma10", "mg17", "mg30")
@@ -282,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--seed", type=_nonnegative_int, default=0, help="master seed for the network guesses")
     ev.add_argument("--data-seed", type=_nonnegative_int, default=1, help="seed for dataset generation")
     ev.add_argument("--units", type=_positive_int, default=500, help="total reservoir units")
-    ev.add_argument("--fan-in", type=_positive_int, default=5, help="in-degree of sparse layers")
+    ev.add_argument("--fan-in", type=_positive_int, default=Sparse.fan_in, help="in-degree of sparse layers")
     ev.add_argument("--laser-path", default=None)
     ev.add_argument("--out", default=None, help="also write the result into this directory")
     add_split_flags(ev)

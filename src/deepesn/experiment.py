@@ -36,13 +36,9 @@ from .reservoir import INTERLAYER_FAN_IN, ReservoirSpec, build_reservoir, run
 from .topology import ScalingSpec, Sparse, TopologyKind, parse_topology, random_stream
 
 __all__ = [
-    "SearchSpace", "TrialResult", "SearchResult", "BenchmarkEntry", "ExperimentReport", "FULL_BUDGET",
-    "REDUCED_BUDGET", "sample_config", "derive_seed", "evaluate_trial", "run_benchmark_suite", "format_report",
-    "trial_log_table", "load_trial_log",
+    "SearchSpace", "TrialResult", "FULL_BUDGET", "REDUCED_BUDGET", "sample_config", "derive_seed",
+    "evaluate_trial", "run_benchmark_suite", "format_report", "trial_log_table", "load_trial_log",
 ]
-
-SHALLOW_GROUP = "shallow"
-DEEP_GROUP = "deep"
 
 
 @dataclass(frozen=True)
@@ -228,7 +224,6 @@ def select_best(trials) -> TrialResult | None:
 class SearchResult:
     """All trials of one shallow or deep search, in plan order."""
 
-    group: str
     trials: tuple[TrialResult, ...]
 
     @property
@@ -279,7 +274,7 @@ def _run_job(job: _Job) -> TrialResult:
         return evaluate_trial(job.task, job.topology, job.num_layers, job.hyper, job.guesses, job.master_seed,
                               total_units=job.total_units, config_index=job.config_index)
     except Exception as exc:  # isolate a broken trial instead of aborting the suite
-        topo_name, _ = _topology_parts(job.topology)
+        topo_name = job.topology.name
         note = f"{job.task.name}/{topo_name}/L={job.num_layers}/config={job.config_index}: {type(exc).__name__}: {exc}"
         return TrialResult(job.task.name, topo_name, job.num_layers, job.config_index, job.hyper, (), (), note)
 
@@ -364,19 +359,16 @@ def run_benchmark_suite(
     topologies = [parse_topology(t) if isinstance(t, str) else t for t in topologies]
     shallow_space = replace(space, layer_counts=(1,))
 
-    searches = [
-        (task, topology, group, _plan_search(task, topology, group_space, master_seed, total_units))
+    planned = [  # one [shallow, deep] pair of trial plans per (task, topology)
+        (task, topology, [_plan_search(task, topology, s, master_seed, total_units) for s in (shallow_space, space)])
         for task in tasks
         for topology in topologies
-        for group, group_space in ((SHALLOW_GROUP, shallow_space), (DEEP_GROUP, space))
     ]
-    plan = [job for *_, jobs in searches for job in jobs]
+    plan = [job for *_, pair in planned for jobs in pair for job in jobs]
     outcomes = iter(_execute_jobs(plan, workers, progress=progress))
-    results = [SearchResult(group, tuple(islice(outcomes, len(jobs)))) for _, _, group, jobs in searches]
-    # searches alternate shallow, deep for each (task, topology)
     entries = tuple(
-        BenchmarkEntry(task=task.name, topology=topology.name, shallow=shallow, deep=deep)
-        for (task, topology, _, _), shallow, deep in zip(searches[::2], results[::2], results[1::2])
+        BenchmarkEntry(task.name, topology.name, *(SearchResult(tuple(islice(outcomes, len(jobs)))) for jobs in pair))
+        for task, topology, pair in planned
     )
 
     meta = {
@@ -400,10 +392,8 @@ def run_benchmark_suite(
     return ExperimentReport(entries=entries, metadata=meta)
 
 
-def _format_mse(mean: float, std: float) -> str:
-    if not np.isfinite(mean):
-        return "failed"
-    return f"{mean:.3e} ({std:.3e})"
+def _format_mse(trial: TrialResult | None) -> str:
+    return "failed" if trial is None else f"{trial.test_mse_mean:.3e} ({trial.test_mse_std:.3e})"
 
 
 def format_report(report: ExperimentReport) -> str:
@@ -424,10 +414,8 @@ def format_report(report: ExperimentReport) -> str:
             if entry.task != task:
                 continue
             shallow, deep = entry.shallow.selected, entry.deep.selected
-            shallow_text = _format_mse(shallow.test_mse_mean, shallow.test_mse_std) if shallow else "failed"
-            deep_text = _format_mse(deep.test_mse_mean, deep.test_mse_std) if deep else "failed"
             layers_text = str(deep.num_layers) if deep else "-"
-            lines.append(f"{entry.topology:<14}{shallow_text:<28}{deep_text:<28}{layers_text:<6}")
+            lines.append(f"{entry.topology:<14}{_format_mse(shallow):<28}{_format_mse(deep):<28}{layers_text:<6}")
         lines.append("")
 
     lines.append("ordering checks (deep test MSE < shallow test MSE):")
@@ -460,13 +448,13 @@ def trial_log_table(report: ExperimentReport) -> str:
     """Machine-readable log: tab-separated, one row per trial, full-precision floats."""
     lines = ["\t".join(_LOG_COLUMNS)]
     for entry in report.entries:
-        for result in (entry.shallow, entry.deep):
+        for group, result in (("shallow", entry.shallow), ("deep", entry.deep)):
             selected = result.selected  # once per search: select_best scans every trial
             for trial in result.trials:
                 row = (
                     trial.task,
                     trial.topology,
-                    result.group,
+                    group,
                     str(trial.num_layers),
                     str(trial.config_index),
                     repr(trial.hyper.rho),

@@ -75,7 +75,10 @@ def layer_sizes(total_units: int, num_layers: int) -> tuple[int, ...]:
 
 
 def check_layout(total_units: int, num_layers: int, topology: TopologyKind) -> None:
-    """Raise ValueError unless every matrix of such a reservoir can be drawn; the builders trust this check."""
+    """Raise ValueError unless every matrix of such a reservoir can be drawn.
+
+    Each topology kind's ``recurrent`` and the ``make_*`` builders trust this check.
+    """
     *feeding, smallest = layer_sizes(total_units, num_layers)  # the last layer is the smallest
     if isinstance(topology, Sparse) and not 1 <= topology.fan_in <= smallest:
         raise ValueError(f"fan_in must be in [1, {smallest}], got {topology.fan_in}")
@@ -103,7 +106,7 @@ class ReservoirSpec:
 
 @dataclass(frozen=True)
 class LayerWeights:
-    """Recurrent matrix of one layer plus its inbound matrix (absent for layer 1)."""
+    """Recurrent matrix of one layer plus its inbound matrix (absent for layer 1, as ``DeepReservoir.stack`` checks)."""
 
     recurrent: np.ndarray
     inbound: Optional[np.ndarray] = None
@@ -136,13 +139,16 @@ class DeepReservoir:
     def stack(self) -> scipy.sparse.csr_array:
         """The CSR weights :func:`run` multiplies by, assembled on first use: ``(total_units, total_units + 1)``.
 
-        Raises ``ValueError`` if the weights do not fit the layer sizes.
+        Raises ``ValueError`` unless exactly the later layers have an inbound matrix and the weights fit.
         """
         num_layers = self.num_layers
         # recurrent matrices on the diagonal, inbound ones just below it, the input weights in a last column
         blocks = [[None] * (num_layers + 1) for _ in range(num_layers)]
         blocks[0][num_layers] = scipy.sparse.csr_array(self.input_weights)
         for l, lw in enumerate(self.layers):
+            if (lw.inbound is None) != (l == 0):
+                raise ValueError(f"layer {l + 1} of {num_layers}: "
+                                 f"{'unexpected' if l == 0 else 'missing'} inbound matrix")
             blocks[l][l] = scipy.sparse.csr_array(lw.recurrent)
             if l > 0:
                 blocks[l][l - 1] = scipy.sparse.csr_array(lw.inbound)

@@ -12,9 +12,10 @@ and inter-layer matrices are rescaled to a target matrix 2-norm.  Both
 measurements are exact dense LAPACK computations: the radius from the full
 eigenvalue spectrum, the norm from the largest singular value.
 
-The ``make_*`` builders trust their arguments: sizes and fan-ins are checked
-once per reservoir by ``reservoir.check_layout``, and the scalings by
-:class:`ScalingSpec`.
+The kinds' :meth:`recurrent` and the ``make_*`` builders of sparse, input
+and inter-layer matrices trust their arguments: sizes and fan-ins are
+checked once per reservoir by ``reservoir.check_layout``, and the scalings
+by :class:`ScalingSpec`.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import ClassVar, Union, get_args
 import numpy as np
 
 __all__ = [
-    "Sparse", "Permutation", "Ring", "Chain", "TopologyKind", "ScalingSpec",
+    "Sparse", "Permutation", "Ring", "Chain", "ScalingSpec",
     "DegenerateMatrixError", "spectral_radius", "operator_norm", "random_stream", "parse_topology",
 ]
 
@@ -49,38 +50,48 @@ class Sparse:
 
 @dataclass(frozen=True)
 class Permutation:
-    """Recurrence matrix is a scaled random permutation (disjoint cycles)."""
+    """Recurrence matrix is a scaled random permutation (disjoint cycles); its spectral radius is exactly ``rho``."""
 
     name: ClassVar[str] = "permutation"
 
     def recurrent(self, n: int, rho: float, rng: np.random.Generator) -> np.ndarray:
-        return make_permutation_recurrent(n, rho, rng)
+        out = np.zeros((n, n))
+        out[rng.permutation(n), np.arange(n)] = rho  # column j feeds row perm[j]
+        return out
 
 
 @dataclass(frozen=True)
 class Ring:
-    """All units form a single cycle."""
+    """All units form a single cycle: the chain plus the top-right corner, all ``rho``."""
 
     name: ClassVar[str] = "ring"
 
-    def recurrent(self, n: int, rho: float, rng: np.random.Generator) -> np.ndarray:
-        return make_ring_recurrent(n, rho)
+    def recurrent(self, n: int, rho: float, rng: np.random.Generator | None) -> np.ndarray:
+        out = Chain().recurrent(n, rho, rng)
+        out[0, n - 1] = rho
+        return out
 
 
 @dataclass(frozen=True)
 class Chain:
-    """Units form a delay line; the matrix is nilpotent."""
+    """Units form a delay line: sub-diagonal entries only, so the matrix is nilpotent (spectral radius 0).
+
+    ``rho`` is still applied as the sub-diagonal weight, so a chain layer
+    shares the search space of the other topologies.
+    """
 
     name: ClassVar[str] = "chain"
 
-    def recurrent(self, n: int, rho: float, rng: np.random.Generator) -> np.ndarray:
-        return make_chain_recurrent(n, rho)
+    def recurrent(self, n: int, rho: float, rng: np.random.Generator | None) -> np.ndarray:
+        out = np.zeros((n, n))
+        out[np.arange(1, n), np.arange(0, n - 1)] = rho
+        return out
 
 
 TopologyKind = Union[Sparse, Permutation, Ring, Chain]
 
 
-def parse_topology(name: str, fan_in: int = 5) -> TopologyKind:
+def parse_topology(name: str, fan_in: int = Sparse.fan_in) -> TopologyKind:
     """The topology whose ``name`` is ``name``; ``fan_in`` only applies to sparse."""
     kinds = {kind.name: kind for kind in get_args(TopologyKind)}
     try:
@@ -141,31 +152,6 @@ def _rescaled(raw: np.ndarray, measure, target: float, label: str) -> np.ndarray
 def make_sparse_recurrent(n: int, fan_in: int, rho: float, rng: np.random.Generator) -> np.ndarray:
     """Sparse recurrent matrix with in-degree ``fan_in``, rescaled to spectral radius ``rho``."""
     return _rescaled(_sparse_uniform(n, n, fan_in, rng), spectral_radius, rho, f"sparse {n}x{n} draw")
-
-
-def make_permutation_recurrent(n: int, weight: float, rng: np.random.Generator) -> np.ndarray:
-    """Scaled random permutation matrix; its spectral radius is exactly ``weight``."""
-    out = np.zeros((n, n))
-    out[rng.permutation(n), np.arange(n)] = weight  # column j feeds row perm[j]
-    return out
-
-
-def make_ring_recurrent(n: int, weight: float) -> np.ndarray:
-    """Single-cycle matrix: the chain plus the top-right corner, all ``weight``."""
-    out = make_chain_recurrent(n, weight)
-    out[0, n - 1] = weight
-    return out
-
-
-def make_chain_recurrent(n: int, weight: float) -> np.ndarray:
-    """Delay-line matrix: sub-diagonal entries only.  Nilpotent, spectral radius 0.
-
-    The scaling hyperparameter is still applied as the sub-diagonal weight,
-    so a chain layer shares the search space of the other topologies.
-    """
-    out = np.zeros((n, n))
-    out[np.arange(1, n), np.arange(0, n - 1)] = weight
-    return out
 
 
 def make_input_matrix(n_r: int, omega_in: float, rng: np.random.Generator) -> np.ndarray:

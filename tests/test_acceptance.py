@@ -33,16 +33,16 @@ def test_c01_permutation_and_ring_orthogonality():
     for seed in range(NUM_SEEDS):
         lam = 0.3 + 0.6 * seed / (NUM_SEEDS - 1)
         for n in SIZES:
-            p = d.topology.make_permutation_recurrent(n, lam, d.random_stream(seed, n))
+            p = d.Permutation().recurrent(n, lam, d.random_stream(seed, n))
             assert np.abs(p.T @ p - lam * lam * np.eye(n)).max() <= 1e-12
     for n in SIZES:
-        r = d.topology.make_ring_recurrent(n, 0.9)
+        r = d.Ring().recurrent(n, 0.9, None)
         assert np.abs(r.T @ r - 0.81 * np.eye(n)).max() <= 1e-12
 
 
 def test_c01_chain_nilpotent_exactly():
     for n in SIZES:
-        m = d.topology.make_chain_recurrent(n, 0.9)
+        m = d.Chain().recurrent(n, 0.9, None)
         assert np.array_equal(np.linalg.matrix_power(m, n), np.zeros((n, n)))
 
 

@@ -221,6 +221,15 @@ class TestRun:
         assert done.returncode == 1, done.stdout + done.stderr
         assert done.stderr.splitlines()[-1] == "ValueError: weights of shape (1, 4) do not fit layers of (1,) units"
 
+    def test_inbound_matrix_on_exactly_the_later_layers(self):
+        one = np.array([[1.0]])
+        missing = DeepReservoir(input_weights=one, layers=(LayerWeights(one), LayerWeights(one)))
+        with pytest.raises(ValueError, match=r"^layer 2 of 2: missing inbound matrix$"):
+            run(missing, [0.5])
+        unexpected = DeepReservoir(input_weights=one, layers=(LayerWeights(one, inbound=np.array([[9.0]])),))
+        with pytest.raises(ValueError, match=r"^layer 1 of 1: unexpected inbound matrix$"):
+            run(unexpected, [0.5])
+
     def test_states_strictly_inside_unit_interval(self):
         res = build_reservoir(small_spec(topology=Permutation()))
         inputs = np.sin(np.arange(200) * 0.7) * 3.0

@@ -18,11 +18,8 @@ from deepesn import (
     Sparse,
 )
 from deepesn.topology import (
-    make_chain_recurrent,
     make_input_matrix,
     make_interlayer_matrix,
-    make_permutation_recurrent,
-    make_ring_recurrent,
     make_sparse_recurrent,
 )
 
@@ -88,16 +85,16 @@ class TestSparseRecurrent:
 
 class TestPermutationRecurrent:
     def test_orthogonal_up_to_scale(self):
-        m = make_permutation_recurrent(4, 0.9, random_stream(1))
+        m = Permutation().recurrent(4, 0.9, random_stream(1))
         assert np.allclose(m.T @ m, 0.81 * np.eye(4), atol=1e-15)
 
     def test_radius_equals_weight_to_machine_precision(self):
-        m = make_permutation_recurrent(10, 0.9, random_stream(4))
+        m = Permutation().recurrent(10, 0.9, random_stream(4))
         assert eig_radius(m) == pytest.approx(0.9, abs=1e-13)
         assert spectral_radius(m) == pytest.approx(0.9, abs=1e-13)
 
     def test_one_nonzero_per_row_and_column(self):
-        m = make_permutation_recurrent(25, 0.5, random_stream(8))
+        m = Permutation().recurrent(25, 0.5, random_stream(8))
         assert (np.count_nonzero(m, axis=0) == 1).all()
         assert (np.count_nonzero(m, axis=1) == 1).all()
         assert np.all(m[m != 0] == 0.5)
@@ -113,14 +110,14 @@ class TestRingRecurrent:
                 [0.0, 0.0, 1.0, 0.0],
             ]
         )
-        assert np.array_equal(make_ring_recurrent(4, 1.0), expected)
+        assert np.array_equal(Ring().recurrent(4, 1.0, None), expected)
 
     def test_cycling_returns_scaled_identity(self):
-        m = make_ring_recurrent(3, 0.5)
+        m = Ring().recurrent(3, 0.5, None)
         assert np.array_equal(m @ m @ m, 0.125 * np.eye(3))
 
     def test_eigenvalues_are_scaled_roots_of_unity(self):
-        m = make_ring_recurrent(8, 0.9)
+        m = Ring().recurrent(8, 0.9, None)
         got = np.sort_complex(np.linalg.eigvals(m))
         expected = np.sort_complex(0.9 * np.exp(2j * np.pi * np.arange(8) / 8))
         assert np.allclose(got, expected, atol=1e-10)
@@ -129,22 +126,22 @@ class TestRingRecurrent:
         n = 9
         cycle = np.zeros((n, n))
         cycle[(np.arange(n) + 1) % n, np.arange(n)] = 0.4  # column i feeds row i+1 mod n
-        assert np.array_equal(make_ring_recurrent(n, 0.4), cycle)
+        assert np.array_equal(Ring().recurrent(n, 0.4, None), cycle)
 
 
 class TestChainRecurrent:
     def test_exact_structure_and_nilpotency(self):
-        m = make_chain_recurrent(3, 1.0)
+        m = Chain().recurrent(3, 1.0, None)
         assert np.array_equal(m, np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
         assert np.array_equal(m @ m @ m, np.zeros((3, 3)))
 
     def test_spectral_radius_is_zero(self):
-        m = make_chain_recurrent(3, 0.5)
+        m = Chain().recurrent(3, 0.5, None)
         assert np.max(np.abs(np.linalg.eigvals(m))) <= 1e-12
         assert spectral_radius(m) == 0.0
 
     def test_operator_norm_equals_weight(self):
-        m = make_chain_recurrent(5, 0.8)
+        m = Chain().recurrent(5, 0.8, None)
         assert svd_norm(m) == pytest.approx(0.8, abs=1e-12)
         assert operator_norm(m) == pytest.approx(0.8, abs=1e-8)
 
@@ -188,7 +185,7 @@ class TestSpectralRadius:
         assert spectral_radius(np.array([[0.0, 1.0], [1.0, 0.0]])) == pytest.approx(1.0, abs=1e-12)
 
     def test_scaled_permutation(self):
-        m = make_permutation_recurrent(40, 0.85, random_stream(17))
+        m = Permutation().recurrent(40, 0.85, random_stream(17))
         assert spectral_radius(m) == pytest.approx(0.85, abs=1e-12)
 
     def test_random_dense_against_eig_oracle(self):
@@ -234,14 +231,14 @@ class TestSharedProperties:
     def test_permutation_and_ring_orthogonality(self, seed):
         for n in self.SIZES:
             lam = 0.3 + 0.1 * (seed % 5)
-            p = make_permutation_recurrent(n, lam, random_stream(seed, n))
+            p = Permutation().recurrent(n, lam, random_stream(seed, n))
             assert np.allclose(p.T @ p, lam * lam * np.eye(n), atol=1e-12)
-            r = make_ring_recurrent(n, lam)
+            r = Ring().recurrent(n, lam, None)
             assert np.allclose(r.T @ r, lam * lam * np.eye(n), atol=1e-12)
 
     def test_chain_nilpotency_exact(self):
         for n in self.SIZES:
-            m = make_chain_recurrent(n, 0.9)
+            m = Chain().recurrent(n, 0.9, None)
             assert np.array_equal(np.linalg.matrix_power(m, n), np.zeros((n, n)))
 
     @pytest.mark.parametrize("seed", range(6))
