@@ -6,15 +6,15 @@ current-step state of the layer below it.  The readout consumes the
 concatenation of all layer states, so :func:`run` returns the full
 trajectory of that global state.
 
-State updates, with ``u(t)`` the input and ``x_l(t)`` the state of layer
-``l`` (zero at step 0 unless :func:`run` is given an initial state, no
-bias terms):
+Every layer runs the same update, with ``x_l(t)`` the state of layer ``l``
+(zero at step 0 unless :func:`run` is given an initial state, no bias
+terms):
 
-    x_1(t) = tanh(W_in u(t)  + R_1 x_1(t-1))
-    x_l(t) = tanh(V_l x_{l-1}(t) + R_l x_l(t-1))      for l > 1
+    x_l(t) = tanh(V_l i_l(t) + R_l x_l(t-1)),    i_1(t) = u(t),  i_l(t) = x_{l-1}(t) for l > 1
 
-where ``R_l`` is the layer's recurrent matrix and ``V_l`` its inbound
-(inter-layer) matrix.
+where ``u(t)`` is the input, ``R_l`` the layer's recurrent matrix and ``V_l``
+its inbound matrix: the ``(n_1, 1)`` input matrix for layer 1, the
+inter-layer matrix for every later layer.
 
 :func:`run` evaluates these equations with layer ``l`` (from 0) running
 ``l`` steps late.  Every layer then depends only on the previous skewed
@@ -29,8 +29,8 @@ directly because it adds into an array the caller passes.  Each step writes
 straight into its zeroed row of the state array, which skips the result
 allocation and argument checks of ``stack @ x``, about half of its cost per
 step at 500 units.  The kernel sums each row's products in stored order
-from zero, as ``stack @ x`` does; ``W_in`` is the stack's last column, so
-the input's term is the last of each first-layer sum.
+from zero, as ``stack @ x`` does; layer 1's inbound matrix is the stack's
+last column, so the input's term is the last of each first-layer sum.
 """
 
 from __future__ import annotations
@@ -81,11 +81,11 @@ def check_layout(total_units: int, num_layers: int, topology: TopologyKind) -> N
     """
     *feeding, smallest = layer_sizes(total_units, num_layers)  # the last layer is the smallest
     if isinstance(topology, Sparse) and not 1 <= topology.fan_in <= smallest:
-        raise ValueError(f"fan_in must be in [1, {smallest}], got {topology.fan_in}")
+        raise ValueError(f"a sparse layer of {smallest} units cannot take {topology.fan_in} inputs per unit")
     if isinstance(topology, (Ring, Chain)) and smallest < 2:
         raise ValueError(f"a chain or ring needs at least 2 units, got {smallest}")
     if feeding and INTERLAYER_FAN_IN > feeding[-1]:  # the smallest layer feeding another
-        raise ValueError(f"interlayer_fan_in must be in [1, {feeding[-1]}], got {INTERLAYER_FAN_IN}")
+        raise ValueError(f"a layer that feeds another needs at least {INTERLAYER_FAN_IN} units, got {feeding[-1]}")
 
 
 @dataclass(frozen=True)
@@ -106,22 +106,26 @@ class ReservoirSpec:
 
 @dataclass(frozen=True)
 class LayerWeights:
-    """Recurrent matrix of one layer plus its inbound matrix (absent for layer 1, as ``DeepReservoir.stack`` checks)."""
+    """Recurrent matrix of one layer and its inbound matrix: the input matrix for layer 1, else the inter-layer one."""
 
     recurrent: np.ndarray
-    inbound: Optional[np.ndarray] = None
+    inbound: np.ndarray
 
 
 @dataclass(frozen=True)
 class DeepReservoir:
-    """Immutable bundle of all untrained weights of a deep reservoir.
+    """Immutable bundle of all untrained weights of a deep reservoir, one :class:`LayerWeights` per layer.
 
     The layer sizes are read off the recurrent matrices' row counts, and
     :attr:`stack` checks once that all the weights fit them.
     """
 
-    input_weights: np.ndarray
     layers: tuple[LayerWeights, ...]
+
+    @property
+    def input_weights(self) -> np.ndarray:
+        """The ``(n_1, 1)`` input matrix, which is layer 1's inbound matrix."""
+        return self.layers[0].inbound
 
     @property
     def num_layers(self) -> int:
@@ -139,19 +143,15 @@ class DeepReservoir:
     def stack(self) -> scipy.sparse.csr_array:
         """The CSR weights :func:`run` multiplies by, assembled on first use: ``(total_units, total_units + 1)``.
 
-        Raises ``ValueError`` unless exactly the later layers have an inbound matrix and the weights fit.
+        Each layer's recurrent matrix sits on the diagonal and its inbound matrix in the block column to the
+        left, which for layer 1 wraps round to the last column, the input's.  Raises ``ValueError`` unless
+        the weights fit the layers.
         """
         num_layers = self.num_layers
-        # recurrent matrices on the diagonal, inbound ones just below it, the input weights in a last column
         blocks = [[None] * (num_layers + 1) for _ in range(num_layers)]
-        blocks[0][num_layers] = scipy.sparse.csr_array(self.input_weights)
         for l, lw in enumerate(self.layers):
-            if (lw.inbound is None) != (l == 0):
-                raise ValueError(f"layer {l + 1} of {num_layers}: "
-                                 f"{'unexpected' if l == 0 else 'missing'} inbound matrix")
             blocks[l][l] = scipy.sparse.csr_array(lw.recurrent)
-            if l > 0:
-                blocks[l][l - 1] = scipy.sparse.csr_array(lw.inbound)
+            blocks[l][l - 1] = scipy.sparse.csr_array(lw.inbound)
         stack = scipy.sparse.block_array(blocks, format="csr")
         n = self.total_units
         if stack.shape != (n, n + 1):  # run's kernel trusts this shape
@@ -167,28 +167,22 @@ def build_reservoir(spec: ReservoirSpec) -> DeepReservoir:
     equal specs and does not depend on construction order.
     """
     sizes = layer_sizes(spec.total_units, spec.num_layers)
-    input_weights = make_input_matrix(sizes[0], spec.scaling.omega_in, random_stream(spec.seed, _STREAM_INPUT, 0))
-    input_weights.setflags(write=False)
     layers = []
     for index, n in enumerate(sizes):
         recurrent = spec.topology.recurrent(n, spec.scaling.rho, random_stream(spec.seed, _STREAM_RECURRENT, index))
+        if index == 0:
+            inbound = make_input_matrix(n, spec.scaling.omega_in, random_stream(spec.seed, _STREAM_INPUT, 0))
+        else:
+            inbound = make_interlayer_matrix(n, sizes[index - 1], INTERLAYER_FAN_IN, spec.scaling.omega_il,
+                                             random_stream(spec.seed, _STREAM_INBOUND, index))
         recurrent.setflags(write=False)
-        inbound = None
-        if index > 0:
-            inbound = make_interlayer_matrix(
-                n,
-                sizes[index - 1],
-                INTERLAYER_FAN_IN,
-                spec.scaling.omega_il,
-                random_stream(spec.seed, _STREAM_INBOUND, index),
-            )
-            inbound.setflags(write=False)
+        inbound.setflags(write=False)
         layers.append(LayerWeights(recurrent=recurrent, inbound=inbound))
-    return DeepReservoir(input_weights=input_weights, layers=tuple(layers))
+    return DeepReservoir(layers=tuple(layers))
 
 
 def run(reservoir: DeepReservoir, inputs: Sequence, initial_state: Optional[np.ndarray] = None) -> np.ndarray:
-    """Drive the reservoir over ``inputs`` and return the global states.
+    """Drive the reservoir over ``inputs``, a 1-D series, and return the global states.
 
     The result has one row per input step and one column per unit, the
     layers' states side by side in layer order: ``(steps, total_units)``.
@@ -208,10 +202,8 @@ def run(reservoir: DeepReservoir, inputs: Sequence, initial_state: Optional[np.n
     undone before the states are returned.
     """
     u = np.asarray(inputs, dtype=float)
-    if u.ndim == 1:
-        u = u[:, None]
-    if u.ndim != 2 or u.shape[1] != 1:
-        raise ValueError(f"inputs must be (steps,) or (steps, 1), got shape {u.shape}")
+    if u.ndim != 1:
+        raise ValueError(f"inputs must be a 1-D series, got shape {u.shape}")
     if not np.all(np.isfinite(u)):
         raise ValueError("inputs must be finite")
     state0 = np.zeros(reservoir.total_units) if initial_state is None else np.asarray(initial_state, dtype=float)
@@ -227,9 +219,9 @@ def run(reservoir: DeepReservoir, inputs: Sequence, initial_state: Optional[np.n
     stack = reservoir.stack
 
     skewed = np.zeros((steps + num_layers - 1, n + 1))  # row s: skewed step s, then the input of step s + 1
-    skewed[:max(steps - 1, 0), n] = u[1:, 0]
+    skewed[:max(steps - 1, 0), n] = u[1:]
     states = skewed[:, :n]
-    prev = np.append(state0, u[0, 0] if steps else 0.0)
+    prev = np.append(state0, u[0] if steps else 0.0)
     for s in range(skewed.shape[0]):
         row = states[s]
         csr_matvec(n, n + 1, stack.indptr, stack.indices, stack.data, prev, row)  # row += stack @ prev

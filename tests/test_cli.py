@@ -42,11 +42,12 @@ def forbid_data(monkeypatch):
 
 
 def assert_rejected_before_any_work(argv, capsys, monkeypatch):
-    """The command exits as a usage error without making any data."""
+    """The command exits as a usage error without making any data; returns its stderr."""
     forbid_data(monkeypatch)
     code, _, err = run_cli(argv, capsys)
     assert code == 2
     assert "no trial can run" in err
+    return err
 
 
 class TestMakeTask:
@@ -143,6 +144,12 @@ EVAL_UNRUNNABLE = {
     "ring-single-unit": {"--layers": "1", "--units": "1"},
 }
 
+# layout errors are worded in the layer sizes that --units sets, not in settings no flag reaches
+EVAL_LAYOUT_ERRORS = {
+    "sparse-fan-in": "a sparse layer of 5 units cannot take 9 inputs per unit",
+    "interlayer-fan-in": "a layer that feeds another needs at least 5 units, got 4",
+}
+
 
 class TestEval:
     def test_reports_finite_mse_reproducibly(self, capsys):
@@ -185,10 +192,12 @@ class TestEval:
             outputs.append(out)
         assert outputs[0] == outputs[1]
 
-    @pytest.mark.parametrize("overrides", EVAL_UNRUNNABLE.values(), ids=EVAL_UNRUNNABLE.keys())
-    def test_unrunnable_combination_is_rejected_before_any_work(self, overrides, tmp_path, capsys, monkeypatch):
-        argv = with_overrides(EVAL_ARGS + ["--out", str(tmp_path)], overrides)
-        assert_rejected_before_any_work(argv, capsys, monkeypatch)
+    @pytest.mark.parametrize("case", EVAL_UNRUNNABLE)
+    def test_unrunnable_combination_is_rejected_before_any_work(self, case, tmp_path, capsys, monkeypatch):
+        argv = with_overrides(EVAL_ARGS + ["--out", str(tmp_path)], EVAL_UNRUNNABLE[case])
+        err = assert_rejected_before_any_work(argv, capsys, monkeypatch)
+        if case in EVAL_LAYOUT_ERRORS:
+            assert EVAL_LAYOUT_ERRORS[case] in err and "fan_in" not in err
         assert not (tmp_path / "eval_result.txt").exists()
 
     @pytest.mark.parametrize("value", ["-0.5", "inf", "nan"])
@@ -228,6 +237,11 @@ BENCH_UNRUNNABLE = {
     "sparse-fan-in": {"--units": "4"},  # the shallow sparse layer, fan-in 5
     "interlayer-fan-in": {"--topologies": "ring", "--units": "8"},
     "ring-single-unit": {"--topologies": "ring", "--layers": "1", "--units": "1"},
+}
+
+BENCH_LAYOUT_ERRORS = {
+    "sparse-fan-in": "a sparse layer of 4 units cannot take 5 inputs per unit",
+    "interlayer-fan-in": "a layer that feeds another needs at least 5 units, got 4",
 }
 
 # each list holds an unknown or a repeated name, which argparse rejects
@@ -331,10 +345,12 @@ class TestBenchmark:
         assert excinfo.value.code == 2
         assert not (tmp_path / "report.txt").exists()
 
-    @pytest.mark.parametrize("overrides", BENCH_UNRUNNABLE.values(), ids=BENCH_UNRUNNABLE.keys())
-    def test_unrunnable_combination_is_rejected_before_any_work(self, overrides, tmp_path, capsys, monkeypatch):
-        argv = with_overrides(BENCH_ARGS + ["--out", str(tmp_path)], overrides)
-        assert_rejected_before_any_work(argv, capsys, monkeypatch)
+    @pytest.mark.parametrize("case", BENCH_UNRUNNABLE)
+    def test_unrunnable_combination_is_rejected_before_any_work(self, case, tmp_path, capsys, monkeypatch):
+        argv = with_overrides(BENCH_ARGS + ["--out", str(tmp_path)], BENCH_UNRUNNABLE[case])
+        err = assert_rejected_before_any_work(argv, capsys, monkeypatch)
+        if case in BENCH_LAYOUT_ERRORS:
+            assert BENCH_LAYOUT_ERRORS[case] in err and "fan_in" not in err
         assert not (tmp_path / "report.txt").exists()
 
     def test_unknown_task_rejected(self, tmp_path, capsys):

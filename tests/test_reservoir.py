@@ -1,5 +1,6 @@
 """Deep reservoir construction and dynamics."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -30,6 +31,15 @@ from deepesn import (
 from deepesn.reservoir import layer_sizes
 
 SCALING = ScalingSpec(rho=0.9, omega_in=0.8, omega_il=1.1)
+
+
+# sha256 of the float64 bytes of the weights drawn for a 3-layer, 24-unit reservoir with seed 5
+WEIGHT_DIGESTS = {
+    "sparse": "946c8a7bdb189058a2f797025607786e2f06a038e5dff5b3a0b48bbd353133fe",
+    "permutation": "6114e5f2bb94a8ab9f7bb9d3a81cf1b9029deb8fd925bc658410b52c118b58d0",
+    "ring": "6cd654ded10102a9b6540915908818339e962cbf712f8f4b19bf39478e81d816",
+    "chain": "dc30c34904bd929df2701e6c35f6b6cb703bcdbb90c4b40c36016d46025a6bcf",
+}
 
 
 def small_spec(**overrides):
@@ -64,8 +74,8 @@ class TestBuildReservoir:
     def test_shapes_and_structure(self):
         res = build_reservoir(small_spec())
         assert res.layer_sizes == (8, 8, 8)
+        assert res.layers[0].inbound is res.input_weights
         assert res.input_weights.shape == (8, 1)
-        assert res.layers[0].inbound is None
         for index in (1, 2):
             assert res.layers[index].inbound.shape == (8, 8)
         for lw in res.layers:
@@ -74,7 +84,8 @@ class TestBuildReservoir:
     def test_single_layer_has_no_interlayer(self):
         res = build_reservoir(small_spec(num_layers=1))
         assert res.num_layers == 1
-        assert res.layers[0].inbound is None
+        assert res.layers[0].inbound is res.input_weights
+        assert res.input_weights.shape == (24, 1)
         assert res.layers[0].recurrent.shape == (24, 24)
 
     def test_scaling_applied(self):
@@ -101,8 +112,20 @@ class TestBuildReservoir:
         assert np.array_equal(a.input_weights, b.input_weights)
         for la, lb in zip(a.layers, b.layers):
             assert np.array_equal(la.recurrent, lb.recurrent)
-            if la.inbound is not None:
-                assert np.array_equal(la.inbound, lb.inbound)
+            assert np.array_equal(la.inbound, lb.inbound)
+
+    @pytest.mark.parametrize("kind", WEIGHT_DIGESTS)
+    def test_drawn_weights_are_pinned(self, kind):
+        # every matrix comes from its own seeded stream; a change to a stream, its key or the order a
+        # builder consumes it in changes these digests, and with them every published number
+        res = build_reservoir(ReservoirSpec(total_units=24, num_layers=3, topology=parse_topology(kind),
+                                            scaling=ScalingSpec(0.9, 0.8, 1.1), seed=5))
+        h = hashlib.sha256(res.input_weights.astype(np.float64).tobytes())
+        for index, lw in enumerate(res.layers):  # each layer's recurrent matrix, then its inter-layer one
+            h.update(lw.recurrent.astype(np.float64).tobytes())
+            if index > 0:
+                h.update(lw.inbound.astype(np.float64).tobytes())
+        assert h.hexdigest() == WEIGHT_DIGESTS[kind]
 
     def test_layers_draw_independent_streams(self):
         res = build_reservoir(small_spec(topology=Permutation()))
@@ -151,9 +174,9 @@ class TestBuildReservoir:
 
 def manual_two_layer():
     """1-unit-per-layer reservoir with hand-picked weights."""
-    first = LayerWeights(recurrent=np.array([[0.5]]))
+    first = LayerWeights(recurrent=np.array([[0.5]]), inbound=np.array([[1.0]]))
     second = LayerWeights(recurrent=np.array([[0.5]]), inbound=np.array([[1.0]]))
-    return DeepReservoir(input_weights=np.array([[1.0]]), layers=(first, second))
+    return DeepReservoir(layers=(first, second))
 
 
 @st.composite
@@ -183,8 +206,8 @@ NON_SQUARE_RUN = """
 import numpy as np
 from deepesn import DeepReservoir, LayerWeights, run
 
-layer = LayerWeights(recurrent=np.array([[0.5, 0.25, 0.125]]))
-print(run(DeepReservoir(input_weights=np.array([[1.0]]), layers=(layer,)), [0.5, -0.5]))
+layer = LayerWeights(recurrent=np.array([[0.5, 0.25, 0.125]]), inbound=np.array([[1.0]]))
+print(run(DeepReservoir(layers=(layer,)), [0.5, -0.5]))
 """
 
 
@@ -195,10 +218,7 @@ class TestRun:
         assert np.array_equal(states, np.zeros((50, 24)))
 
     def test_single_unit_without_recurrence_decouples(self):
-        res = DeepReservoir(
-            input_weights=np.array([[1.0]]),
-            layers=(LayerWeights(recurrent=np.array([[0.0]])),),
-        )
+        res = DeepReservoir(layers=(LayerWeights(recurrent=np.array([[0.0]]), inbound=np.array([[1.0]])),))
         states = run(res, [0.5, -0.5])
         assert np.array_equal(states, np.tanh([[0.5], [-0.5]]))
 
@@ -221,14 +241,17 @@ class TestRun:
         assert done.returncode == 1, done.stdout + done.stderr
         assert done.stderr.splitlines()[-1] == "ValueError: weights of shape (1, 4) do not fit layers of (1,) units"
 
-    def test_inbound_matrix_on_exactly_the_later_layers(self):
+    def test_misfit_inbound_matrix_raises(self):
+        # every layer has an inbound matrix, and one that does not fit its layers fails the stack's assembly
         one = np.array([[1.0]])
-        missing = DeepReservoir(input_weights=one, layers=(LayerWeights(one), LayerWeights(one)))
-        with pytest.raises(ValueError, match=r"^layer 2 of 2: missing inbound matrix$"):
-            run(missing, [0.5])
-        unexpected = DeepReservoir(input_weights=one, layers=(LayerWeights(one, inbound=np.array([[9.0]])),))
-        with pytest.raises(ValueError, match=r"^layer 1 of 1: unexpected inbound matrix$"):
-            run(unexpected, [0.5])
+        with pytest.raises(TypeError):
+            LayerWeights(one)
+        two_inputs = DeepReservoir(layers=(LayerWeights(one, np.ones((1, 2))),))
+        with pytest.raises(ValueError, match=r"^weights of shape \(1, 3\) do not fit layers of \(1,\) units$"):
+            two_inputs.stack
+        too_wide = DeepReservoir(layers=(LayerWeights(one, one), LayerWeights(one, np.ones((1, 2)))))
+        with pytest.raises(ValueError, match="incompatible column dimensions"):
+            too_wide.stack
 
     def test_states_strictly_inside_unit_interval(self):
         res = build_reservoir(small_spec(topology=Permutation()))
@@ -247,7 +270,7 @@ class TestRun:
     def test_empty_series_has_no_rows(self, num_layers):
         res = build_reservoir(small_spec(num_layers=num_layers))
         assert run(res, np.zeros(0)).shape == (0, 24)
-        assert run(res, np.zeros((0, 1)), initial_state=np.full(24, 0.5)).shape == (0, 24)
+        assert run(res, np.zeros(0), initial_state=np.full(24, 0.5)).shape == (0, 24)
 
     @settings(max_examples=100, deadline=None)
     @given(reference_cases(), st.integers(1, 30))
@@ -275,8 +298,9 @@ class TestRun:
 
     def test_input_shape_errors(self):
         res = build_reservoir(small_spec())
-        with pytest.raises(ValueError):
-            run(res, np.ones((5, 2)))
+        for shape in ((5, 2), (5, 1)):
+            with pytest.raises(ValueError, match="^inputs must be a 1-D series"):
+                run(res, np.ones(shape))
         with pytest.raises(ValueError):
             run(res, np.array([1.0, np.nan]))
 
@@ -297,8 +321,7 @@ class TestRun:
         expected = []
         for u in inputs:
             for l, lw in enumerate(res.layers):
-                drive = res.input_weights @ np.array([u]) if l == 0 else lw.inbound @ x[l - 1]
-                x[l] = np.tanh(drive + lw.recurrent @ x[l])
+                x[l] = np.tanh(lw.inbound @ (np.array([u]) if l == 0 else x[l - 1]) + lw.recurrent @ x[l])
             expected.append(np.concatenate(x))
         assert states.shape == (len(inputs), res.total_units)
         assert np.allclose(states, np.reshape(expected, states.shape), rtol=0.0, atol=1e-12)
