@@ -30,7 +30,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from . import readout
+from . import __version__, readout
 from .datasets import Dataset
 from .reservoir import INTERLAYER_FAN_IN, ReservoirSpec, build_reservoir, run
 from .topology import ScalingSpec, Sparse, TopologyKind, parse_topology, random_stream
@@ -63,6 +63,7 @@ class SearchSpace:
 
 FULL_BUDGET = SearchSpace()
 REDUCED_BUDGET = replace(FULL_BUDGET, configs_per_layer=10, guesses=3)
+_SEGMENT = 512  # steps of the fit range that evaluate_trial runs at a time: 2 MB of states at 500 units
 
 
 def sample_config(space: SearchSpace, rng: np.random.Generator) -> ScalingSpec:
@@ -169,11 +170,13 @@ def evaluate_trial(
     fits two readouts on post-washout rows: one on the fit range scored on
     the validation range, and one on the full training range scored on the
     test range.  The training range extends the fit range, so both readouts
-    come from one call that factorizes each training row once.  The states
-    are those of one run over the whole series, computed in two legs so that
-    a guess holds one leg's states at a time: the training split, then the
-    test range resumed from the first leg's last state.  The guesses run at
-    one OpenBLAS thread: the readout's sums depend on how BLAS splits them.
+    come from one :class:`readout.NestedFit` that factorizes each training
+    row once.  The states are those of one run over the whole series, run
+    in pieces, each resumed from the last state of the one before: the fit
+    range in segments copied straight into the readout's buffer, then the
+    validation range, then the test range.  So a guess holds its training
+    states once, in that buffer.  The guesses run at one OpenBLAS thread:
+    the readout's sums depend on how BLAS splits them.
     """
     if guesses < 1:
         raise ValueError(f"guesses must be at least 1, got {guesses}")
@@ -197,13 +200,23 @@ def evaluate_trial(
             )
             spec = ReservoirSpec(total_units=total_units, num_layers=num_layers, topology=topology, scaling=hyper, seed=seed)
             reservoir = build_reservoir(spec)
-            states = run(reservoir, task.inputs[:train_end])  # the first leg: the training split
-            val_fit, test_fit = readout.train_pseudo_inverse(
-                states[washout:], targets[washout:train_end], (fit_end - washout, train_end - washout)
-            )
-            val_mses.append(readout.mse(states[fit_end:] @ val_fit, targets[fit_end:train_end]))
+            fit = readout.NestedFit(total_units, 1, max(fit_end - washout, task.validation_len))
+            last = None  # each piece of the run resumes from a copy of the last row of the one before
+            for start in range(0, fit_end, _SEGMENT):
+                stop = min(start + _SEGMENT, fit_end)
+                states = run(reservoir, task.inputs[start:stop], initial_state=last)
+                last = states[-1].copy()
+                skip = max(washout - start, 0)
+                fit.append(states[skip:], targets[start + skip:stop])
+                del states
+            val_fit = readout.train_pseudo_inverse(fit)
+            # the validation states stay row-major for the predictions: their bits depend on the layout
+            states = run(reservoir, task.inputs[fit_end:train_end], initial_state=last)
+            val_mses.append(readout.mse(states @ val_fit, targets[fit_end:train_end]))
+            fit.append(states, targets[fit_end:train_end])
+            test_fit = readout.train_pseudo_inverse(fit)
             last = states[-1].copy()
-            del states  # the copy of the last row keeps nothing else of the first leg alive during the second
+            del states, fit  # nothing of the training split is alive during the test range
             test_predictions = run(reservoir, task.inputs[train_end:], initial_state=last) @ test_fit
             test_mses.append(readout.mse(test_predictions, targets[train_end:]))
     finally:
@@ -386,6 +399,9 @@ def run_benchmark_suite(
         "std_convention": "population",
         "tasks": ",".join(task.name for task in tasks),
         "topologies": ",".join(t.name for t in topologies),
+        **{f"split.{task.name}.{key}": str(getattr(task, key))
+           for task in tasks for key in ("train_len", "washout", "validation_len")},
+        "deepesn_version": __version__,
     }
     if metadata:
         meta.update({str(k): str(v) for k, v in metadata.items()})

@@ -207,9 +207,10 @@ class TestEvaluateTrial:
     @pytest.mark.parametrize("topology, num_layers", [(Sparse(5), 2), (Permutation(), 1), (Permutation(), 5)],
                              ids=["sparse-L2", "permutation-L1", "permutation-L5"])
     def test_one_leg_of_states_alive_at_a_time(self, topology, num_layers):
-        # each guess runs the training split, then the test range, never holding both legs' states; the
-        # peak is one leg plus the readout's buffer, about 1.0 full-length state arrays, and one run over
-        # the whole series peaks at about 1.5
+        # each guess holds its training states once, in the readout's buffer (0.44 full-length state arrays
+        # here), and the test range's states (0.5) only after that buffer is freed: the peak is 0.69-0.82.
+        # Holding the training split's states beside the buffer peaked at 0.99-1.03, and one run over the
+        # whole series at about 1.5
         task = generate_narma10(3000, seed=1, train_len=1500, washout=100, validation_len=300)
         tracemalloc.start()
         try:
@@ -217,32 +218,57 @@ class TestEvaluateTrial:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.2 * 3000 * 200 * 8
+        assert peak <= 0.9 * 3000 * 200 * 8
 
-    @pytest.mark.parametrize("topology", [Sparse(3), Permutation(), Ring(), Chain()], ids=lambda kind: kind.name)
-    @pytest.mark.parametrize("num_layers, length", [(1, 600), (3, 600), (3, 301)])
-    def test_two_legs_give_the_one_run_mses(self, tiny_task, monkeypatch, topology, num_layers, length):
-        # at 301 steps the test leg is one step, shorter than the deepest layer's lag of 2
-        task = Dataset(tiny_task.name, tiny_task.inputs[:length], tiny_task.targets[:length],
-                       train_len=300, washout=20, validation_len=80)
-        built = []
-        build = deepesn.experiment.build_reservoir
-        monkeypatch.setattr("deepesn.experiment.build_reservoir", lambda spec: built.append(build(spec)) or built[-1])
-        trial = evaluate_trial(task, topology, num_layers, ScalingSpec(0.9, 0.7, 0.6), 3, 11, total_units=20)
-
+    @staticmethod
+    def one_run_mses(task, reservoirs):
+        """Each reservoir's (validation, test) MSEs from one run over the whole series, fitted in two stages."""
         washout, fit_end, train_end = task.washout, task.train_len - task.validation_len, task.train_len
         targets = task.targets[:, None]
         expected = []
-        for reservoir in built:  # one run over the whole series, as before the split into legs
+        for reservoir in reservoirs:
             states = run(reservoir, task.inputs)
-            val_fit, test_fit = readout.train_pseudo_inverse(
-                states[washout:train_end], targets[washout:train_end], (fit_end - washout, train_end - washout)
-            )
+            fit = readout.NestedFit(reservoir.total_units, 1, max(fit_end - washout, task.validation_len))
+            fit.append(states[washout:fit_end], targets[washout:fit_end])
+            val_fit = readout.train_pseudo_inverse(fit)
+            fit.append(states[fit_end:train_end], targets[fit_end:train_end])
+            test_fit = readout.train_pseudo_inverse(fit)
             expected.append((mse(states[fit_end:train_end] @ val_fit, targets[fit_end:train_end]),
                              mse(states[train_end:] @ test_fit, targets[train_end:])))
+        return tuple(v for v, _ in expected), tuple(t for _, t in expected)
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Every reservoir evaluate_trial builds, in order."""
+        reservoirs = []
+        build = deepesn.experiment.build_reservoir
+        monkeypatch.setattr("deepesn.experiment.build_reservoir",
+                            lambda spec: reservoirs.append(build(spec)) or reservoirs[-1])
+        return reservoirs
+
+    @pytest.mark.parametrize("topology", [Sparse(3), Permutation(), Ring(), Chain()], ids=lambda kind: kind.name)
+    @pytest.mark.parametrize("num_layers, length", [(1, 600), (3, 600), (3, 301)])
+    def test_two_legs_give_the_one_run_mses(self, tiny_task, built, topology, num_layers, length):
+        # at 301 steps the test leg is one step, shorter than the deepest layer's lag of 2
+        task = Dataset(tiny_task.name, tiny_task.inputs[:length], tiny_task.targets[:length],
+                       train_len=300, washout=20, validation_len=80)
+        trial = evaluate_trial(task, topology, num_layers, ScalingSpec(0.9, 0.7, 0.6), 3, 11, total_units=20)
         assert len(built) == 3
-        assert repr(trial.validation_mses) == repr(tuple(v for v, _ in expected))
-        assert repr(trial.test_mses) == repr(tuple(t for _, t in expected))
+        val_mses, test_mses = self.one_run_mses(task, built)
+        assert repr(trial.validation_mses) == repr(val_mses)
+        assert repr(trial.test_mses) == repr(test_mses)
+
+    @pytest.mark.parametrize("segment", [1, 2, 7, 200, 512])
+    @pytest.mark.parametrize("washout", [0, 7, 20, 150])
+    def test_fit_range_segments_give_the_one_run_mses(self, tiny_task, built, monkeypatch, segment, washout):
+        # segments shorter than the deepest layer's lag of 2, washouts within, across and beyond a segment,
+        # and a last segment cut short by the end of the fit range
+        monkeypatch.setattr("deepesn.experiment._SEGMENT", segment)
+        task = replace(tiny_task, washout=washout)
+        trial = evaluate_trial(task, Permutation(), 3, ScalingSpec(0.9, 0.7, 0.6), 2, 11, total_units=20)
+        val_mses, test_mses = self.one_run_mses(task, built)
+        assert repr(trial.validation_mses) == repr(val_mses)
+        assert repr(trial.test_mses) == repr(test_mses)
 
     def test_mses_independent_of_caller_blas_threads(self, caller_at_two_blas_threads):
         # at 500 units the readout's BLAS calls split over 2 threads, which moves the MSEs' last digits
@@ -272,8 +298,9 @@ class TestEvaluateTrial:
         monkeypatch.setattr(readout, "mse", recording("mse", readout.mse))
         args = (tiny_task, Sparse(3), 2, ScalingSpec(0.8, 0.6, 0.6), 2, 5)
         evaluate_trial(*args, total_units=20)
-        # per guess: the training leg, the test leg, one nested fit and a validation and a test score
-        assert {name: len(calls) for name, calls in during.items()} == {"run": 4, "train_pseudo_inverse": 2, "mse": 4}
+        # per guess: the fit range's one segment, the validation range and the test range, a fit after each of
+        # the first two, and a validation and a test score
+        assert {name: len(calls) for name, calls in during.items()} == {"run": 6, "train_pseudo_inverse": 4, "mse": 4}
         assert all(set(counts) == {1} for calls in during.values() for counts in calls)
         assert set(openblas_threads()) == {2}
 
@@ -416,8 +443,9 @@ class TestBenchmarkSuite:
         monkeypatch.setattr("deepesn.experiment.evaluate_trial", recording_trial)
         monkeypatch.setattr(readout, "train_pseudo_inverse", recording_fit)
         self.suite(tiny_task, replace(TINY_SPACE, guesses=1))
-        assert outside and all(set(counts) == {2} for counts in outside)
-        assert inside and all(set(counts) == {1} for counts in inside)
+        # two topologies, each with two shallow and two deep trials of one guess, and two fits per guess
+        assert len(outside) == 8 and all(set(counts) == {2} for counts in outside)
+        assert len(inside) == 16 and all(set(counts) == {1} for counts in inside)
         assert set(openblas_threads()) == {2}
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -490,6 +518,11 @@ class TestBenchmarkSuite:
         for key in ("master_seed", "configs_per_layer", "guesses", "rcond", "rho_range", "std_convention"):
             assert key in report.metadata
         assert report.metadata["dataset.narma10.seed"] == "3"
+        # the split, so that a results directory can rebuild its rows without the CLI's defaults
+        assert {key: report.metadata[f"split.narma10.{key}"] for key in ("train_len", "washout", "validation_len")} == {
+            "train_len": "300", "washout": "20", "validation_len": "80"}
+        assert report.metadata["deepesn_version"] == deepesn.__version__
+        assert "split.narma10.train_len = 300\n" in format_report(report)
 
     def test_report_over_two_tasks(self, tiny_task):
         mg17 = generate_mackey_glass(MGParams(tau=17.0), 600, train_len=300, washout=20, validation_len=80)

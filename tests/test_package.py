@@ -1,5 +1,6 @@
 """The package's export list and the project's pytest configuration."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 import deepesn
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
 def test_all_names_resolve_once():
@@ -66,3 +68,26 @@ def test_one_openblas_and_no_scipy_linalg():
     linalg_loaded, *libraries = done.stdout.splitlines()
     assert linalg_loaded == "False"
     assert len(libraries) == 1, libraries
+
+
+def test_perfbench_spans_see_each_stage_of_a_guess(tmp_path):
+    # the benchmark times the program's stages by wrapping its functions by name; one bypassed or renamed
+    # would read 0 there, not fail
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    recorder = tracing.Recorder(tmp_path)
+    uninstall = tracing.install(recorder)
+    try:
+        task = deepesn.generate_narma10(400, seed=1, train_len=200, washout=20, validation_len=50)
+        deepesn.experiment.evaluate_trial(task, deepesn.Permutation(), 2, deepesn.ScalingSpec(0.9, 0.5, 0.5), 1, 0,
+                                          total_units=20)
+    finally:
+        uninstall()
+    spans = recorder.take()
+    names = {(span["pid"], span["id"]): span["name"] for span in spans}
+    recorded = {span["name"] for span in spans}
+    assert {"reservoir.build", "reservoir.run", "readout.fit", "readout.mse", "experiment.trial"} <= recorded
+    # the fit is the factor step alone: a state run inside it would be timed as readout
+    assert all(names.get(span["parent"]) != "readout.fit" for span in spans if span["name"] == "reservoir.run")
+    assert deepesn.experiment.run is deepesn.reservoir.run  # uninstalled

@@ -7,7 +7,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from deepesn import DEFAULT_RCOND, mse, train_pseudo_inverse
+from deepesn import DEFAULT_RCOND, NestedFit, mse, train_pseudo_inverse
+
+
+def fit_prefixes(states, targets, row_ends=None):
+    """One readout per prefix end (default: all rows), each prefix's new rows appended, then fitted."""
+    states = np.asarray(states, dtype=float)
+    targets = np.asarray(targets, dtype=float).reshape(len(states), -1)
+    ends = [len(states)] if row_ends is None else list(row_ends)
+    starts = [0] + ends[:-1]
+    fit = NestedFit(states.shape[1], targets.shape[1], max(b - a for a, b in zip(starts, ends)))
+    fits = []
+    for start, end in zip(starts, ends):
+        fit.append(states[start:end], targets[start:end])
+        fits.append(train_pseudo_inverse(fit))
+    return fits
 
 
 def normal_equations(states, targets):
@@ -18,7 +32,7 @@ def normal_equations(states, targets):
 
 class TestTrainPseudoInverse:
     def test_identity_design(self):
-        [w] = train_pseudo_inverse(np.eye(3), np.array([1.0, 2.0, 3.0]))
+        [w] = fit_prefixes(np.eye(3), np.array([1.0, 2.0, 3.0]))
         assert w.shape == (3, 1)
         assert np.allclose(w, [[1.0], [2.0], [3.0]], atol=1e-12)
 
@@ -27,7 +41,7 @@ class TestTrainPseudoInverse:
         states = rng.standard_normal((50, 8))
         coefs = rng.standard_normal(8)
         targets = states @ coefs
-        [w] = train_pseudo_inverse(states, targets)
+        [w] = fit_prefixes(states, targets)
         assert np.allclose(w.ravel(), coefs, atol=1e-10)
         assert mse(states @ w, targets) <= 1e-20
 
@@ -35,14 +49,14 @@ class TestTrainPseudoInverse:
         rng = np.random.default_rng(7)
         states = rng.standard_normal((200, 50))
         targets = rng.standard_normal((200, 2))
-        [w] = train_pseudo_inverse(states, targets)
+        [w] = fit_prefixes(states, targets)
         assert np.allclose(w, normal_equations(states, targets), atol=1e-8)
 
     def test_least_squares_optimality(self):
         rng = np.random.default_rng(11)
         states = rng.standard_normal((80, 12))
         targets = rng.standard_normal(80)
-        [w] = train_pseudo_inverse(states, targets)
+        [w] = fit_prefixes(states, targets)
         base = mse(states @ w, targets)
         for magnitude in (1e-6, 1e-3, 1e-1):
             delta = rng.standard_normal(w.shape) * magnitude
@@ -54,7 +68,7 @@ class TestTrainPseudoInverse:
         base = rng.standard_normal((40, 6))
         states = np.hstack([base, base[:, :3]])  # duplicated columns: rank 6 of 9
         targets = rng.standard_normal(40)
-        [w] = train_pseudo_inverse(states, targets)
+        [w] = fit_prefixes(states, targets)
         # tiny-ridge oracle approaches the minimum-norm solution from above
         ridge_oracle = np.linalg.solve(states.T @ states + 1e-10 * np.eye(9), states.T @ targets[:, None])
         assert np.linalg.norm(w) <= np.linalg.norm(ridge_oracle) * (1.0 + 1e-6)
@@ -63,18 +77,30 @@ class TestTrainPseudoInverse:
 
     def test_problem_validation(self):
         # lstsq alone returns zeros for an empty problem and NaN for a non-finite one
-        with pytest.raises(ValueError):
-            train_pseudo_inverse(np.zeros((0, 3)), np.zeros((0, 1)))
-        with pytest.raises(ValueError):
-            train_pseudo_inverse(np.zeros((4, 3)), np.zeros(5))
-        with pytest.raises(ValueError):
-            train_pseudo_inverse(np.full((4, 3), np.nan), np.zeros(4))
-        with pytest.raises(ValueError):
-            train_pseudo_inverse(np.ones((4, 3)), np.array([0.0, np.inf, 0.0, 0.0]))
-        # row ends: empty, zero, not increasing, past the last row
-        for row_ends in ((), (0,), (2, 2), (3, 2), (5,), (2, 5)):
-            with pytest.raises(ValueError):
-                train_pseudo_inverse(np.ones((4, 3)), np.zeros(4), row_ends)
+        with pytest.raises(ValueError, match="empty"):
+            train_pseudo_inverse(NestedFit(3, 1, 4))
+        fit = NestedFit(3, 1, 4)
+        fit.append(np.zeros((0, 3)), np.zeros((0, 1)))
+        with pytest.raises(ValueError, match="empty"):
+            train_pseudo_inverse(fit)
+        with pytest.raises(ValueError, match="row mismatch"):
+            fit.append(np.zeros((4, 3)), np.zeros(5))
+        with pytest.raises(ValueError, match="non-finite"):
+            fit.append(np.full((4, 3), np.nan), np.zeros(4))
+        with pytest.raises(ValueError, match="non-finite"):
+            fit.append(np.ones((4, 3)), np.array([0.0, np.inf, 0.0, 0.0]))
+        for states, targets in ((np.ones((4, 2)), np.zeros(4)), (np.ones(3), np.zeros(1)),
+                                (np.ones((4, 3)), np.zeros((4, 2)))):  # wrong widths
+            with pytest.raises(ValueError, match="must hold 3 states and 1 targets"):
+                fit.append(states, targets)
+        with pytest.raises(ValueError, match="overflow"):  # 4 rows of room under a triangle of 4
+            fit.append(np.ones((9, 3)), np.zeros(9))
+        assert fit.rows == 0  # a rejected append copies nothing
+        fit.append(np.ones((4, 3)), np.zeros(4))
+        train_pseudo_inverse(fit)  # carries a triangle of 4 rows, so 4 more rows fill the buffer
+        fit.append(np.ones((4, 3)), np.zeros(4))
+        with pytest.raises(ValueError, match="overflow"):
+            fit.append(np.ones((1, 3)), np.zeros(1))
 
 
 @st.composite
@@ -101,7 +127,7 @@ class TestNestedPrefixes:
     @example((np.array([[0.5, 0.5], [-1.5, -1.5]]), np.array([1.0, 2.0]), [1, 2]))
     def test_each_prefix_matches_lstsq(self, problem):
         states, targets, row_ends = problem
-        fits = train_pseudo_inverse(states, targets, row_ends)
+        fits = fit_prefixes(states, targets, row_ends)
         assert len(fits) == len(row_ends)
         targets = targets.reshape(len(targets), -1)
         for end, w in zip(row_ends, fits):
@@ -117,14 +143,34 @@ class TestNestedPrefixes:
                 assert np.linalg.norm(w) <= np.linalg.norm(ref) * (1.0 + 1e-8) + 1e-12
 
 
+@settings(max_examples=50, deadline=None)
+@given(nested_problems(), st.data())
+def test_a_stage_appended_in_pieces_fits_the_same_bits(problem, data):
+    # the rows land in the same places of the buffer, so the factorization cannot tell the pieces apart
+    states, targets, row_ends = problem
+    whole = fit_prefixes(states, targets, row_ends)
+    stage = max(b - a for a, b in zip([0] + row_ends[:-1], row_ends))
+    fit = NestedFit(states.shape[1], np.reshape(targets, (len(states), -1)).shape[1], stage)
+    start = 0
+    for end, expected in zip(row_ends, whole):
+        cuts = sorted(data.draw(st.sets(st.integers(start, end), max_size=3)))
+        for a, b in zip([start] + cuts, cuts + [end]):
+            fit.append(states[a:b], targets[a:b])
+        assert np.array_equal(train_pseudo_inverse(fit), expected)
+        start = end
+
+
 def test_fit_factors_its_buffer_in_place():
-    # the rows are factored where they lie; a copy of them before factoring peaks above twice the buffer
+    # the rows are factored where they were appended; a copy of them before factoring peaks above twice the buffer
     rng = np.random.default_rng(5)
     states = np.tanh(rng.standard_normal((3000, 200)))
     targets = rng.standard_normal(3000)
     tracemalloc.start()
     try:
-        train_pseudo_inverse(states, targets, (2000, 3000))
+        fit = NestedFit(200, 1, 2000)
+        for start, end in ((0, 2000), (2000, 3000)):
+            fit.append(states[start:end], targets[start:end])
+            train_pseudo_inverse(fit)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -138,7 +184,7 @@ class TestPredict:
     def test_consistency_with_training(self):
         states = np.eye(3)
         targets = np.array([1.0, 2.0, 3.0])
-        [w] = train_pseudo_inverse(states, targets)
+        [w] = fit_prefixes(states, targets)
         assert np.allclose((states @ w).ravel(), targets, atol=1e-12)
 
 
@@ -177,5 +223,5 @@ def test_predict_after_train_on_noiseless_trajectory():
     states = np.tanh(rng.standard_normal((30, 5)))
     coefs = rng.standard_normal((1, 5))
     targets = states @ coefs.T
-    [w] = train_pseudo_inverse(states[3:], targets[3:])
+    [w] = fit_prefixes(states[3:], targets[3:])
     assert mse(states[3:] @ w, targets[3:]) <= 1e-10

@@ -180,9 +180,9 @@ def manual_two_layer():
 
 
 @st.composite
-def reference_cases(draw):
+def reference_cases(draw, max_layers=5):
     """A small deep reservoir, an input run (possibly shorter than the stack) and an optional start state."""
-    num_layers = draw(st.integers(1, 5))
+    num_layers = draw(st.integers(1, max_layers))
     # a layer that feeds another needs room for the inter-layer fan-in
     smallest = draw(st.integers(2 if num_layers == 1 else INTERLAYER_FAN_IN, 8))
     total_units = num_layers * smallest + draw(st.integers(0, num_layers - 1))
@@ -285,6 +285,24 @@ class TestRun:
         full = run(res, inputs, initial_state=start)
         assert np.array_equal(run(res, inputs[:k], initial_state=start), full[:k])
         assert np.array_equal(run(res, inputs[k:], initial_state=full[k - 1]), full[k:])
+
+    @settings(max_examples=100, deadline=None)
+    @given(reference_cases(max_layers=4), st.data())
+    def test_a_run_cut_anywhere_equals_one_run(self, case, data):
+        # evaluate_trial runs a guess in pieces, each resumed from a copy of the last row of the one before;
+        # the pieces may be shorter than the deepest layer's lag
+        spec, inputs, start = case
+        try:
+            res = build_reservoir(spec)
+        except DegenerateMatrixError:
+            reject()
+        cut = data.draw(st.lists(st.booleans(), min_size=len(inputs) - 1, max_size=len(inputs) - 1))
+        ends = [end for end, here in enumerate(cut, start=1) if here] + [len(inputs)]
+        pieces, last, begin = [], start, 0
+        for end in ends:
+            pieces.append(run(res, inputs[begin:end], initial_state=last))
+            last, begin = pieces[-1][-1].copy(), end
+        assert np.array_equal(np.concatenate(pieces), run(res, inputs, initial_state=start))
 
     def test_stack_is_assembled_once_per_reservoir(self, monkeypatch):
         calls = []
