@@ -10,7 +10,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 from typing import get_args
 
@@ -26,8 +26,7 @@ from .datasets import (
     save_series,
 )
 from .experiment import (
-    FULL_BUDGET,
-    REDUCED_BUDGET,
+    SearchSpace,
     evaluate_trial,
     format_report,
     run_benchmark_suite,
@@ -35,7 +34,7 @@ from .experiment import (
     _warn_if_unpinned,
 )
 from .reservoir import check_layout
-from .topology import ScalingSpec, Sparse, TopologyKind, parse_topology
+from .topology import ScalingSpec, TopologyKind, parse_topology
 
 LASER_PATH_ENV = "DEEPESN_LASER_PATH"
 GENERATED_TASKS = ("narma10", "mg17", "mg30")
@@ -164,14 +163,14 @@ def cmd_generate(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    low, high = FULL_BUDGET.rho_range
+    low, high = SearchSpace.rho_range
     if args.rho > high:
         print(
             f"warning: rho={args.rho} is above the usual search range ({low}, {high}]; "
             "dynamics may be unstable",
             file=sys.stderr,
         )
-    topology = parse_topology(args.topology, fan_in=args.fan_in)
+    topology = parse_topology(args.topology)
     _reject_unrunnable(args, [args.task], [topology], [args.layers])
     dataset, _ = make_task(
         args.task, seed=args.data_seed, length=args.length, laser_path=args.laser_path, **_split(args)
@@ -204,9 +203,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
-    space = FULL_BUDGET if args.budget == "full" else REDUCED_BUDGET
-    overrides = {"configs_per_layer": args.configs, "guesses": args.guesses, "layer_counts": args.layers}
-    space = replace(space, **{key: value for key, value in overrides.items() if value is not None})
+    space = SearchSpace(args.configs, args.guesses, args.layers)
     topologies = [parse_topology(name) for name in args.topologies]
     _reject_unrunnable(args, args.tasks, topologies, (1,) + space.layer_counts)  # 1: the shallow search
 
@@ -282,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--seed", type=_nonnegative_int, default=0, help="master seed for the network guesses")
     ev.add_argument("--data-seed", type=_nonnegative_int, default=1, help="seed for dataset generation")
     ev.add_argument("--units", type=_positive_int, default=500, help="total reservoir units")
-    ev.add_argument("--fan-in", type=_positive_int, default=Sparse.fan_in, help="in-degree of sparse layers")
     ev.add_argument("--laser-path", default=None)
     ev.add_argument("--out", default=None, help="also write the result into this directory")
     add_split_flags(ev)
@@ -293,12 +289,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"comma-separated tasks from: {', '.join(ALL_TASKS)}")
     bench.add_argument("--topologies", type=_comma_list(names=ALL_TOPOLOGIES, kind="topology"),
                        default=ALL_TOPOLOGIES, help=f"comma-separated topologies from: {', '.join(ALL_TOPOLOGIES)}")
-    bench.add_argument("--budget", choices=("full", "reduced"), default="full",
-                       help="full: 50 configs x 10 guesses; reduced: 10 x 3")
-    bench.add_argument("--configs", type=_positive_int, default=None, help="override configs per layer count")
-    bench.add_argument("--guesses", type=_positive_int, default=None, help="override guesses per config")
-    bench.add_argument("--layers", type=_comma_list(_positive_int, kind="layer count"), default=None,
-                       help="override deep layer counts, e.g. 2,3")
+    bench.add_argument("--configs", type=_positive_int, default=SearchSpace.configs_per_layer,
+                       help="configs per layer count")
+    bench.add_argument("--guesses", type=_positive_int, default=SearchSpace.guesses, help="guesses per config")
+    bench.add_argument("--layers", type=_comma_list(_positive_int, kind="layer count"),
+                       default=SearchSpace.layer_counts, help="deep layer counts, e.g. 2,3")
     bench.add_argument("--seed", type=_nonnegative_int, default=42, help="master seed")
     bench.add_argument("--data-seed", type=_nonnegative_int, default=1)
     bench.add_argument("--units", type=_positive_int, default=500)

@@ -36,7 +36,7 @@ from .reservoir import INTERLAYER_FAN_IN, ReservoirSpec, build_reservoir, run
 from .topology import ScalingSpec, Sparse, TopologyKind, parse_topology, random_stream
 
 __all__ = [
-    "SearchSpace", "TrialResult", "FULL_BUDGET", "REDUCED_BUDGET", "sample_config", "derive_seed",
+    "SearchSpace", "TrialResult", "FULL_BUDGET", "sample_config", "derive_seed",
     "evaluate_trial", "run_benchmark_suite", "format_report", "trial_log_table", "load_trial_log",
 ]
 
@@ -62,7 +62,6 @@ class SearchSpace:
 
 
 FULL_BUDGET = SearchSpace()
-REDUCED_BUDGET = replace(FULL_BUDGET, configs_per_layer=10, guesses=3)
 _SEGMENT = 512  # steps of the fit range that evaluate_trial runs at a time: 2 MB of states at 500 units
 
 
@@ -419,11 +418,7 @@ def format_report(report: ExperimentReport) -> str:
         lines.append(f"{key} = {value}")
     lines.append("")
 
-    tasks = []
-    for entry in report.entries:
-        if entry.task not in tasks:
-            tasks.append(entry.task)
-    for task in tasks:
+    for task in dict.fromkeys(entry.task for entry in report.entries):
         lines.append(f"task: {task}")
         lines.append(f"{'topology':<14}{'shallow ESN':<28}{'deep ESN':<28}{'layers':<6}")
         for entry in report.entries:

@@ -80,7 +80,7 @@ def check_layout(total_units: int, num_layers: int, topology: TopologyKind) -> N
     Each topology kind's ``recurrent`` and the ``make_*`` builders trust this check.
     """
     *feeding, smallest = layer_sizes(total_units, num_layers)  # the last layer is the smallest
-    if isinstance(topology, Sparse) and not 1 <= topology.fan_in <= smallest:
+    if isinstance(topology, Sparse) and topology.fan_in > smallest:
         raise ValueError(f"a sparse layer of {smallest} units cannot take {topology.fan_in} inputs per unit")
     if isinstance(topology, (Ring, Chain)) and smallest < 2:
         raise ValueError(f"a chain or ring needs at least 2 units, got {smallest}")
@@ -230,5 +230,7 @@ def run(reservoir: DeepReservoir, inputs: Sequence, initial_state: Optional[np.n
             row[offsets[s + 1]:] = state0[offsets[s + 1]:]
         prev = skewed[s]
     for l in range(1, num_layers):  # undo the skew: move each layer's block up by its lag
-        states[:steps, offsets[l]:offsets[l + 1]] = states[l:l + steps, offsets[l]:offsets[l + 1]]
+        dst, src = states[:steps, offsets[l]:offsets[l + 1]], states[l:l + steps, offsets[l]:offsets[l + 1]]
+        for start in range(0, steps, 512):  # forward pieces read each row before it is overwritten, and numpy
+            dst[start:start + 512] = src[start:start + 512]  # copies an overlapping piece, not the whole block
     return states[:steps]

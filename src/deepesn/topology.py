@@ -1,11 +1,12 @@
 """Structured reservoir weight matrices and their scaling controls.
 
 Recurrent matrices come in four flavours: plain sparse (the usual ESN
-baseline), permutation (one non-zero per row and column, orthogonal up to
-the weight value), ring (one global cycle) and chain (a delay line, which
-is nilpotent).  Each kind carries its ``name`` and builds its own recurrent
-matrix with :meth:`recurrent`.  Sparse and permutation matrices are drawn
-from an explicit random stream; ring and chain are fully deterministic.
+baseline, with a fixed in-degree of 5 per unit), permutation (one non-zero
+per row and column, orthogonal up to the weight value), ring (one global
+cycle) and chain (a delay line, which is nilpotent).  Each kind carries its
+``name`` and builds its own recurrent matrix with :meth:`recurrent`.  Sparse
+and permutation matrices are drawn from an explicit random stream; ring and
+chain are fully deterministic.
 
 Sparse recurrent matrices are rescaled to a target spectral radius; input
 and inter-layer matrices are rescaled to a target matrix 2-norm.  Both
@@ -39,10 +40,10 @@ class DegenerateMatrixError(RuntimeError):
 
 @dataclass(frozen=True)
 class Sparse:
-    """Randomly connected layer; every unit receives ``fan_in`` inputs."""
+    """Randomly connected layer; every unit receives a fixed ``fan_in`` of 5 inputs."""
 
     name: ClassVar[str] = "sparse"
-    fan_in: int = 5
+    fan_in: ClassVar[int] = 5
 
     def recurrent(self, n: int, rho: float, rng: np.random.Generator) -> np.ndarray:
         return make_sparse_recurrent(n, self.fan_in, rho, rng)
@@ -91,14 +92,13 @@ class Chain:
 TopologyKind = Union[Sparse, Permutation, Ring, Chain]
 
 
-def parse_topology(name: str, fan_in: int = Sparse.fan_in) -> TopologyKind:
-    """The topology whose ``name`` is ``name``; ``fan_in`` only applies to sparse."""
+def parse_topology(name: str) -> TopologyKind:
+    """The topology whose ``name`` is ``name``."""
     kinds = {kind.name: kind for kind in get_args(TopologyKind)}
     try:
-        kind = kinds[name.lower()]
+        return kinds[name.lower()]()
     except KeyError:
         raise ValueError(f"unknown topology {name!r}; expected one of {sorted(kinds)}") from None
-    return Sparse(fan_in=fan_in) if kind is Sparse else kind()
 
 
 @dataclass(frozen=True)

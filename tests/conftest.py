@@ -8,7 +8,8 @@ _outcomes = {}
 def pytest_configure(config):
     config.addinivalue_line(
         "markers",
-        "full: quantitative reproduction checks on full-budget results; needs DEEPESN_RESULTS",
+        "full: quantitative reproduction checks on the results of `deepesn benchmark` at its default, "
+        "full budget; needs DEEPESN_RESULTS",
     )
 
 

@@ -2,8 +2,8 @@
 
 Criteria 1-7 are property checks sized for CI.  Criteria 8-10 verify the
 full-budget benchmark reproduction; they read trial logs from the directory
-named by DEEPESN_RESULTS (written by `deepesn benchmark --budget full`) and
-skip without it.
+named by DEEPESN_RESULTS (written by `deepesn benchmark` at its default,
+full budget) and skip without it.
 
 Criterion 5 is recorded as a strict expected failure: the generated series
 is chaotic, so trajectory-level agreement between step sizes over 1000
@@ -59,7 +59,7 @@ def test_c01_sparse_hits_target_radius():
 
 def test_c02_zero_input_zero_state_and_boundedness():
     scaling = d.ScalingSpec(rho=0.9, omega_in=1.5, omega_il=1.5)
-    spec = d.ReservoirSpec(total_units=500, num_layers=3, topology=d.Sparse(5), scaling=scaling, seed=2)
+    spec = d.ReservoirSpec(total_units=500, num_layers=3, topology=d.Sparse(), scaling=scaling, seed=2)
     res = d.build_reservoir(spec)
     zeros = d.run(res, np.zeros(200))
     assert np.array_equal(zeros, np.zeros((200, 500)))
@@ -161,7 +161,7 @@ def _ci_tasks():
 
 
 def _ci_suite(**kwargs):
-    space = replace(d.REDUCED_BUDGET, configs_per_layer=3, guesses=2)
+    space = d.SearchSpace(configs_per_layer=3, guesses=2)
     return d.run_benchmark_suite(
         _ci_tasks(), ["sparse", "permutation", "ring", "chain"], space, 21,
         total_units=30, **kwargs,
@@ -199,7 +199,7 @@ TOPOLOGIES = ("sparse", "permutation", "ring", "chain")
 def _load_result_rows():
     results_dir = os.environ.get(RESULTS_ENV)
     if not results_dir:
-        pytest.skip(f"full-budget checks need {RESULTS_ENV}=<dir with trials.tsv from `deepesn benchmark --budget full`>")
+        pytest.skip(f"full-budget checks need {RESULTS_ENV}=<dir with trials.tsv from `deepesn benchmark`>")
     logs = sorted(Path(results_dir).rglob("trials.tsv"))
     if not logs:
         pytest.skip(f"{RESULTS_ENV}={results_dir} contains no trials.tsv files")

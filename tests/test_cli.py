@@ -131,7 +131,7 @@ class TestGenerate:
 EVAL_ARGS = [
     "eval", "--task", "narma10", "--topology", "ring", "--layers", "2",
     "--rho", "0.9", "--omega-in", "0.5", "--omega-il", "0.5",
-    "--guesses", "2", "--seed", "7", "--units", "20", "--fan-in", "3", *TINY,
+    "--guesses", "2", "--seed", "7", "--units", "20", *TINY,
 ]
 
 # TINY's split has 600 steps, 300 of them for training, so every case fails one rule
@@ -139,14 +139,14 @@ EVAL_UNRUNNABLE = {
     "fewer-units-than-layers": {"--layers": "5", "--units": "3"},
     "no-fit-range": {"--washout": "220"},
     "series-too-short": {"--length": "300"},
-    "sparse-fan-in": {"--topology": "sparse", "--fan-in": "9", "--layers": "1", "--units": "5"},
+    "sparse-fan-in": {"--topology": "sparse", "--layers": "1", "--units": "4"},  # sparse fan-in 5
     "interlayer-fan-in": {"--units": "8"},  # two ring layers of 4 units, inter-layer fan-in 5
     "ring-single-unit": {"--layers": "1", "--units": "1"},
 }
 
 # layout errors are worded in the layer sizes that --units sets, not in settings no flag reaches
 EVAL_LAYOUT_ERRORS = {
-    "sparse-fan-in": "a sparse layer of 5 units cannot take 9 inputs per unit",
+    "sparse-fan-in": "a sparse layer of 4 units cannot take 5 inputs per unit",
     "interlayer-fan-in": "a layer that feeds another needs at least 5 units, got 4",
 }
 
@@ -178,19 +178,6 @@ class TestEval:
         assert code == 0
         assert "warning" in err.lower()
         assert "test MSE" in out
-
-    def test_fan_in_leaves_non_sparse_networks_unchanged(self, capsys):
-        # --fan-in is the in-degree of sparse layers; inter-layer matrices keep five inputs per unit
-        argv = EVAL_ARGS.copy()
-        argv[argv.index("--topology") + 1] = "permutation"
-        argv[argv.index("--units") + 1] = "40"
-        outputs = []
-        for fan_in in ("2", "5"):
-            argv[argv.index("--fan-in") + 1] = fan_in
-            code, out, _ = run_cli(argv, capsys)
-            assert code == 0
-            outputs.append(out)
-        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("case", EVAL_UNRUNNABLE)
     def test_unrunnable_combination_is_rejected_before_any_work(self, case, tmp_path, capsys, monkeypatch):
@@ -244,14 +231,22 @@ BENCH_LAYOUT_ERRORS = {
     "interlayer-fan-in": "a layer that feeds another needs at least 5 units, got 4",
 }
 
-# each list holds an unknown or a repeated name, which argparse rejects
+# each list is empty or holds an unknown or a repeated name, which argparse rejects with this message
 BENCH_BAD_LISTS = {
-    "unknown-topology": {"--topologies": "nonsense"},
-    "unknown-task": {"--tasks": "nonsense"},
-    "repeated-layers": {"--layers": "2,2"},
-    "repeated-layers-spelled-apart": {"--layers": "2,02"},
-    "repeated-topology": {"--topologies": "ring,ring"},
-    "repeated-task": {"--tasks": "narma10,narma10"},
+    "unknown-topology": ({"--topologies": "nonsense"}, "unknown topology 'nonsense'"),
+    "unknown-task": ({"--tasks": "nonsense"}, "unknown task 'nonsense'"),
+    "repeated-layers": ({"--layers": "2,2"}, "repeated layer count in '2,2'"),
+    "repeated-layers-spelled-apart": ({"--layers": "2,02"}, "repeated layer count in '2,02'"),
+    "repeated-topology": ({"--topologies": "ring,ring"}, "repeated topology in 'ring,ring'"),
+    "repeated-task": ({"--tasks": "narma10,narma10"}, "repeated task in 'narma10,narma10'"),
+    "empty-list": ({"--tasks": ","}, "expected a comma-separated list"),
+}
+
+# argparse rejects each of these command lines, with this message, before any work
+PARSER_ERRORS = {
+    "eval-negative-seed": (with_overrides(EVAL_ARGS, {"--seed": "-1"}), "must be non-negative, got -1"),
+    "eval-fan-in": (EVAL_ARGS + ["--fan-in", "5"], "unrecognized arguments: --fan-in 5"),
+    "benchmark-budget": (BENCH_ARGS + ["--budget", "full"], "unrecognized arguments: --budget full"),
 }
 
 
@@ -361,16 +356,25 @@ class TestBenchmark:
         assert excinfo.value.code == 2
         assert "unknown task" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("overrides", BENCH_BAD_LISTS.values(), ids=BENCH_BAD_LISTS.keys())
-    def test_unknown_or_repeated_name_is_a_usage_error(self, overrides, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("overrides, message", BENCH_BAD_LISTS.values(), ids=BENCH_BAD_LISTS.keys())
+    def test_unknown_or_repeated_name_is_a_usage_error(self, overrides, message, tmp_path, capsys, monkeypatch):
         forbid_data(monkeypatch)
         argv = with_overrides(BENCH_ARGS + ["--out", str(tmp_path)], overrides)
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
-        err = capsys.readouterr().err
-        assert "unknown" in err or "repeated" in err
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "report.txt").exists()
+
+
+@pytest.mark.parametrize("argv, message", PARSER_ERRORS.values(), ids=PARSER_ERRORS.keys())
+def test_parser_rejects_before_any_work(argv, message, tmp_path, capsys, monkeypatch):
+    forbid_data(monkeypatch)
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv + ["--out", str(tmp_path)])
+    assert excinfo.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_module_entry_point_runs_main():

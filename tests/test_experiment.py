@@ -40,7 +40,7 @@ from deepesn import (
     trial_log_table,
 )
 from deepesn import readout
-from deepesn.experiment import _execute_jobs, _openblas_thread_calls, _plan_search, select_best
+from deepesn.experiment import ExperimentReport, _execute_jobs, _openblas_thread_calls, _plan_search, select_best
 
 TINY_SPACE = SearchSpace(configs_per_layer=2, guesses=2, layer_counts=(2,))
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "GOTO_NUM_THREADS")
@@ -158,19 +158,19 @@ class TestDeriveSeed:
 
 class TestEvaluateTrial:
     def test_single_guess_has_zero_std(self, tiny_task):
-        trial = evaluate_trial(tiny_task, Sparse(3), 1, ScalingSpec(0.8, 0.6, 0.6), 1, 5, total_units=20)
+        trial = evaluate_trial(tiny_task, Sparse(), 1, ScalingSpec(0.8, 0.6, 0.6), 1, 5, total_units=20)
         assert trial.validation_mse_std == 0.0
         assert trial.test_mse_std == 0.0
         assert trial.guesses == 1
 
     def test_deterministic(self, tiny_task):
-        args = (tiny_task, Sparse(3), 2, ScalingSpec(0.8, 0.6, 0.6), 3, 5)
+        args = (tiny_task, Sparse(), 2, ScalingSpec(0.8, 0.6, 0.6), 3, 5)
         a = evaluate_trial(*args, total_units=20)
         b = evaluate_trial(*args, total_units=20)
         assert a == b
 
     def test_aggregates_match_recomputation(self, tiny_task):
-        trial = evaluate_trial(tiny_task, Sparse(3), 2, ScalingSpec(0.7, 0.5, 0.5), 4, 5,
+        trial = evaluate_trial(tiny_task, Sparse(), 2, ScalingSpec(0.7, 0.5, 0.5), 4, 5,
                                total_units=20)
         assert trial.validation_mse_mean == pytest.approx(np.mean(trial.validation_mses), rel=1e-15)
         assert trial.validation_mse_std == pytest.approx(np.std(trial.validation_mses), rel=1e-12)
@@ -186,7 +186,11 @@ class TestEvaluateTrial:
         flat = Dataset("flat", tiny_task.inputs, tiny_task.targets,
                        train_len=300, washout=20, validation_len=0)
         with pytest.raises(ValueError):
-            evaluate_trial(flat, Sparse(3), 1, ScalingSpec(0.5, 0.5, 0.5), 1, 0, total_units=10)
+            evaluate_trial(flat, Sparse(), 1, ScalingSpec(0.5, 0.5, 0.5), 1, 0, total_units=10)
+
+    def test_at_least_one_guess(self, tiny_task):
+        with pytest.raises(ValueError, match="^guesses must be at least 1, got 0$"):
+            evaluate_trial(tiny_task, Sparse(), 1, ScalingSpec(0.5, 0.5, 0.5), 0, 0, total_units=20)
 
     def test_washout_rows_never_influence_results(self, tiny_task):
         # corrupt the targets inside the washout region only: nothing may change
@@ -197,14 +201,14 @@ class TestEvaluateTrial:
             train_len=tiny_task.train_len, washout=tiny_task.washout,
             validation_len=tiny_task.validation_len,
         )
-        args = dict(topology=Sparse(3), num_layers=2, hyper=ScalingSpec(0.9, 0.7, 0.7),
+        args = dict(topology=Sparse(), num_layers=2, hyper=ScalingSpec(0.9, 0.7, 0.7),
                     guesses=2, master_seed=11, total_units=20)
         a = evaluate_trial(tiny_task, **args)
         b = evaluate_trial(corrupted, **args)
         assert a.validation_mses == b.validation_mses
         assert a.test_mses == b.test_mses
 
-    @pytest.mark.parametrize("topology, num_layers", [(Sparse(5), 2), (Permutation(), 1), (Permutation(), 5)],
+    @pytest.mark.parametrize("topology, num_layers", [(Sparse(), 2), (Permutation(), 1), (Permutation(), 5)],
                              ids=["sparse-L2", "permutation-L1", "permutation-L5"])
     def test_one_leg_of_states_alive_at_a_time(self, topology, num_layers):
         # each guess holds its training states once, in the readout's buffer (0.44 full-length state arrays
@@ -246,7 +250,7 @@ class TestEvaluateTrial:
                             lambda spec: reservoirs.append(build(spec)) or reservoirs[-1])
         return reservoirs
 
-    @pytest.mark.parametrize("topology", [Sparse(3), Permutation(), Ring(), Chain()], ids=lambda kind: kind.name)
+    @pytest.mark.parametrize("topology", [Sparse(), Permutation(), Ring(), Chain()], ids=lambda kind: kind.name)
     @pytest.mark.parametrize("num_layers, length", [(1, 600), (3, 600), (3, 301)])
     def test_two_legs_give_the_one_run_mses(self, tiny_task, built, topology, num_layers, length):
         # at 301 steps the test leg is one step, shorter than the deepest layer's lag of 2
@@ -296,7 +300,7 @@ class TestEvaluateTrial:
         monkeypatch.setattr("deepesn.experiment.run", recording("run", run))
         monkeypatch.setattr(readout, "train_pseudo_inverse", recording("train_pseudo_inverse", readout.train_pseudo_inverse))
         monkeypatch.setattr(readout, "mse", recording("mse", readout.mse))
-        args = (tiny_task, Sparse(3), 2, ScalingSpec(0.8, 0.6, 0.6), 2, 5)
+        args = (tiny_task, Sparse(), 2, ScalingSpec(0.8, 0.6, 0.6), 2, 5)
         evaluate_trial(*args, total_units=20)
         # per guess: the fit range's one segment, the validation range and the test range, a fit after each of
         # the first two, and a validation and a test score
@@ -397,7 +401,7 @@ class TestBenchmarkSuite:
 
         # the executor run on a shuffled plan gives the same outcome for every job
         space = replace(TINY_SPACE, layer_counts=(1, 2))
-        plan = [job for kind in (Sparse(3), Ring()) for job in _plan_search(tiny_task, kind, space, 7, 20)]
+        plan = [job for kind in (Sparse(), Ring()) for job in _plan_search(tiny_task, kind, space, 7, 20)]
         in_order = _execute_jobs(plan, workers=1)
         order = np.random.default_rng(12345).permutation(len(plan))
         assert not np.array_equal(order, np.arange(len(plan)))
@@ -543,6 +547,17 @@ class TestBenchmarkSuite:
         assert [line.split(":")[0].strip() for line in checks.splitlines() if line] == [
             f"{task}/{topology}" for task in ("narma10", "mg17") for topology in ("sparse", "ring")
         ]
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty trial log"),
+        ("a\tb\n", "unexpected header ('a', 'b')"),
+        ("{header}x\ty\n", "malformed row: 'x\\ty'"),
+    ], ids=["empty", "wrong-header", "short-row"])
+    def test_malformed_log_is_rejected(self, text, message, tmp_path):
+        log_path = tmp_path / "trials.tsv"
+        log_path.write_text(text.format(header=trial_log_table(ExperimentReport(()))), encoding="ascii")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{log_path}: {message}')}$"):
+            load_trial_log(log_path)
 
     def test_report_text_and_log_round_trip(self, tiny_task, tmp_path):
         report = self.suite(tiny_task)

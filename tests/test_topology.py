@@ -284,9 +284,8 @@ def test_rescaled_matrices_measure_back_exactly(case):
 
 class TestNamesAndSpecs:
     def test_round_trip_names(self):
-        for kind in (Sparse(5), Permutation(), Ring(), Chain()):
+        for kind in (Sparse(), Permutation(), Ring(), Chain()):
             assert parse_topology(kind.name) == kind
-        assert parse_topology("sparse", fan_in=7) == Sparse(fan_in=7)
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):
