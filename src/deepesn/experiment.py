@@ -63,6 +63,10 @@ class SearchSpace:
 
 FULL_BUDGET = SearchSpace()
 _SEGMENT = 512  # steps of the fit range that evaluate_trial runs at a time: 2 MB of states at 500 units
+# Steps of the validation and test ranges run at a time.  Their predictions, one gemv per piece, have the bits
+# of one product over the whole range only when each piece starts a multiple of OpenBLAS's gemv row block from
+# the range's start: 512-row pieces do, 1-, 2- and 7-row ones do not.  So this stays 512 whatever _SEGMENT is.
+_PIECE = 512
 
 
 def sample_config(space: SearchSpace, rng: np.random.Generator) -> ScalingSpec:
@@ -171,11 +175,13 @@ def evaluate_trial(
     test range.  The training range extends the fit range, so both readouts
     come from one :class:`readout.NestedFit` that factorizes each training
     row once.  The states are those of one run over the whole series, run
-    in pieces, each resumed from the last state of the one before: the fit
-    range in segments copied straight into the readout's buffer, then the
-    validation range, then the test range.  So a guess holds its training
-    states once, in that buffer.  The guesses run at one OpenBLAS thread:
-    the readout's sums depend on how BLAS splits them.
+    in pieces of at most 512 steps, each resumed from the last state of the
+    one before and cut at the ends of the fit and training ranges.  Each
+    piece of the training range is copied straight into the readout's
+    buffer, each piece of the validation range after its predictions, and
+    each piece of the test range is only predicted.  So a guess holds the
+    buffer plus one piece of states.  The guesses run at one OpenBLAS
+    thread: the readout's sums depend on how BLAS splits them.
     """
     if guesses < 1:
         raise ValueError(f"guesses must be at least 1, got {guesses}")
@@ -186,6 +192,9 @@ def evaluate_trial(
     fit_end = task.train_len - task.validation_len
     train_end = task.train_len
     targets = task.targets[:, None]
+    starts = [*range(0, fit_end, _SEGMENT), *range(fit_end, train_end, _PIECE), *range(train_end, len(targets), _PIECE)]
+    pieces = list(zip(starts, starts[1:] + [len(targets)]))
+    predictions = np.empty((len(targets) - fit_end, 1))  # of the validation range, then the test range
 
     val_mses, test_mses = [], []
     pinned = [(set_threads, get_threads()) for set_threads, get_threads in _openblas_thread_calls()]
@@ -199,25 +208,23 @@ def evaluate_trial(
             )
             spec = ReservoirSpec(total_units=total_units, num_layers=num_layers, topology=topology, scaling=hyper, seed=seed)
             reservoir = build_reservoir(spec)
-            fit = readout.NestedFit(total_units, 1, max(fit_end - washout, task.validation_len))
+            # the carried triangle plus the larger stage's rows: the fit range's first rows fill the triangle
+            fit = readout.NestedFit(total_units, 1, max(fit_end - washout - (total_units + 1), task.validation_len))
             last = None  # each piece of the run resumes from a copy of the last row of the one before
-            for start in range(0, fit_end, _SEGMENT):
-                stop = min(start + _SEGMENT, fit_end)
+            for start, stop in pieces:
+                if start in (fit_end, train_end):
+                    model = readout.train_pseudo_inverse(fit)
                 states = run(reservoir, task.inputs[start:stop], initial_state=last)
                 last = states[-1].copy()
-                skip = max(washout - start, 0)
-                fit.append(states[skip:], targets[start + skip:stop])
+                if start >= fit_end:  # predicted from the row-major piece, before its rows join the fit
+                    predictions[start - fit_end:stop - fit_end] = states @ model
+                if start < train_end:
+                    skip = max(washout - start, 0)
+                    fit.append(states[skip:], targets[start + skip:stop])
                 del states
-            val_fit = readout.train_pseudo_inverse(fit)
-            # the validation states stay row-major for the predictions: their bits depend on the layout
-            states = run(reservoir, task.inputs[fit_end:train_end], initial_state=last)
-            val_mses.append(readout.mse(states @ val_fit, targets[fit_end:train_end]))
-            fit.append(states, targets[fit_end:train_end])
-            test_fit = readout.train_pseudo_inverse(fit)
-            last = states[-1].copy()
-            del states, fit  # nothing of the training split is alive during the test range
-            test_predictions = run(reservoir, task.inputs[train_end:], initial_state=last) @ test_fit
-            test_mses.append(readout.mse(test_predictions, targets[train_end:]))
+            del fit  # so the next guess's buffer replaces this one, not joins it
+            val_mses.append(readout.mse(predictions[:task.validation_len], targets[fit_end:train_end]))
+            test_mses.append(readout.mse(predictions[task.validation_len:], targets[train_end:]))
     finally:
         for set_threads, count in pinned:
             set_threads(count)

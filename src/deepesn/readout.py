@@ -22,6 +22,8 @@ class NestedFit:
 
     One column-major ``[states | targets]`` buffer holds the triangle carried from the last
     :func:`train_pseudo_inverse` call (at most ``width + outputs`` rows), then up to ``rows`` new rows.
+    Before the first call there is no triangle, so the first stage may fill its place too.  This buffer is
+    most of a guess's memory: :func:`experiment.evaluate_trial` holds it and one piece of states.
     """
 
     def __init__(self, width: int, outputs: int, rows: int):

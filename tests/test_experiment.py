@@ -40,6 +40,7 @@ from deepesn import (
     trial_log_table,
 )
 from deepesn import readout
+from deepesn.cli import make_task
 from deepesn.experiment import ExperimentReport, _execute_jobs, _openblas_thread_calls, _plan_search, select_best
 
 TINY_SPACE = SearchSpace(configs_per_layer=2, guesses=2, layer_counts=(2,))
@@ -55,19 +56,29 @@ def openblas_threads():
     return [get_threads() for _, get_threads in _openblas_thread_calls()]
 
 
-@pytest.fixture
-def caller_at_two_blas_threads():
-    """Every loaded OpenBLAS at 2 threads for the test, the counts found before it restored after."""
+def blas_threads_at(threads):
+    """Every loaded OpenBLAS at ``threads`` for the test, the counts found before it restored after."""
     calls = _openblas_thread_calls()
-    if not calls:
-        pytest.skip("no OpenBLAS is loaded")
     before = openblas_threads()
     for set_threads, _ in calls:
-        set_threads(2)
-    assert openblas_threads() == [2] * len(calls)
+        set_threads(threads)
+    assert openblas_threads() == [threads] * len(calls)
     yield
     for (set_threads, _), count in zip(calls, before):
         set_threads(count)
+
+
+@pytest.fixture
+def caller_at_two_blas_threads():
+    if not _openblas_thread_calls():
+        pytest.skip("no OpenBLAS is loaded")
+    yield from blas_threads_at(2)
+
+
+@pytest.fixture
+def one_blas_thread():
+    """As inside evaluate_trial."""
+    yield from blas_threads_at(1)
 
 
 def make_trial(task="t", topology="sparse", layers=1, config=0, val=1.0, test=1.0, failed=False):
@@ -211,18 +222,21 @@ class TestEvaluateTrial:
     @pytest.mark.parametrize("topology, num_layers", [(Sparse(), 2), (Permutation(), 1), (Permutation(), 5)],
                              ids=["sparse-L2", "permutation-L1", "permutation-L5"])
     def test_one_leg_of_states_alive_at_a_time(self, topology, num_layers):
-        # each guess holds its training states once, in the readout's buffer (0.44 full-length state arrays
-        # here), and the test range's states (0.5) only after that buffer is freed: the peak is 0.69-0.82.
-        # Holding the training split's states beside the buffer peaked at 0.99-1.03, and one run over the
-        # whole series at about 1.5
-        task = generate_narma10(3000, seed=1, train_len=1500, washout=100, validation_len=300)
+        # the leg alive is one piece: every range runs in 512-step pieces, so a guess holds its readout's factor
+        # buffer (1100 rows here) and one piece of states: the traced peak is buffer + 1.5-2.0 pieces (3.0-3.4 MB), run's un-skew temporary
+        # and the reservoir making up the rest.  Running the validation and test ranges whole peaked at
+        # buffer + 7.1-7.6 pieces (7.6-8.0 MB), on the test range's 4500 steps of states
+        units = 200
+        task = generate_narma10(6000, seed=1, train_len=1500, washout=100, validation_len=300)
         tracemalloc.start()
         try:
-            evaluate_trial(task, topology, num_layers, ScalingSpec(0.9, 0.5, 0.8), 2, 7, total_units=200)
+            evaluate_trial(task, topology, num_layers, ScalingSpec(0.9, 0.5, 0.8), 2, 7, total_units=units)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 0.9 * 3000 * 200 * 8
+        fit_rows = task.train_len - task.validation_len - task.washout
+        buffer, piece = fit_rows * (units + 1) * 8, 512 * units * 8
+        assert peak <= buffer + 2.5 * piece
 
     @staticmethod
     def one_run_mses(task, reservoirs):
@@ -251,11 +265,19 @@ class TestEvaluateTrial:
         return reservoirs
 
     @pytest.mark.parametrize("topology", [Sparse(), Permutation(), Ring(), Chain()], ids=lambda kind: kind.name)
-    @pytest.mark.parametrize("num_layers, length", [(1, 600), (3, 600), (3, 301)])
-    def test_two_legs_give_the_one_run_mses(self, tiny_task, built, topology, num_layers, length):
-        # at 301 steps the test leg is one step, shorter than the deepest layer's lag of 2
-        task = Dataset(tiny_task.name, tiny_task.inputs[:length], tiny_task.targets[:length],
-                       train_len=300, washout=20, validation_len=80)
+    @pytest.mark.parametrize("num_layers, length, train_len, validation_len", [
+        pytest.param(1, 600, 300, 80, id="1-600"),
+        pytest.param(3, 600, 300, 80, id="3-600"),
+        pytest.param(3, 301, 300, 80, id="3-301"),
+        pytest.param(3, 3000, 1800, 700, id="3-3000"),
+    ])
+    def test_two_legs_give_the_one_run_mses(self, built, topology, num_layers, length, train_len, validation_len):
+        # at 301 steps the test leg is one step, shorter than the deepest layer's lag of 2; at 3000 steps the
+        # validation range spans 2 pieces and the test range 3, the last of each cut short
+        # the first 600 steps of this series are tiny_task's
+        series = generate_narma10(3000, seed=3, train_len=300, washout=20, validation_len=80)
+        task = Dataset(series.name, series.inputs[:length], series.targets[:length],
+                       train_len=train_len, washout=20, validation_len=validation_len)
         trial = evaluate_trial(task, topology, num_layers, ScalingSpec(0.9, 0.7, 0.6), 3, 11, total_units=20)
         assert len(built) == 3
         val_mses, test_mses = self.one_run_mses(task, built)
@@ -270,6 +292,17 @@ class TestEvaluateTrial:
         monkeypatch.setattr("deepesn.experiment._SEGMENT", segment)
         task = replace(tiny_task, washout=washout)
         trial = evaluate_trial(task, Permutation(), 3, ScalingSpec(0.9, 0.7, 0.6), 2, 11, total_units=20)
+        val_mses, test_mses = self.one_run_mses(task, built)
+        assert repr(trial.validation_mses) == repr(val_mses)
+        assert repr(trial.test_mses) == repr(test_mses)
+
+    @pytest.mark.parametrize("task_name, topology, num_layers", [("mg17", Permutation(), 5), ("narma10", Sparse(), 1)],
+                             ids=["mg17-permutation-L5", "narma10-sparse-L1"])
+    def test_paper_size_guess_gives_the_one_run_mses(self, built, one_blas_thread, task_name, topology, num_layers):
+        # 500 units over 10000 steps: the validation and test pieces' predictions keep the bits of one product over
+        # their range only while each piece starts a multiple of the BLAS gemv row block from the range's start
+        task, _ = make_task(task_name, seed=1, length=10000)
+        trial = evaluate_trial(task, topology, num_layers, ScalingSpec(0.9, 0.5, 0.8), 1, 7, total_units=500)
         val_mses, test_mses = self.one_run_mses(task, built)
         assert repr(trial.validation_mses) == repr(val_mses)
         assert repr(trial.test_mses) == repr(test_mses)
@@ -302,8 +335,8 @@ class TestEvaluateTrial:
         monkeypatch.setattr(readout, "mse", recording("mse", readout.mse))
         args = (tiny_task, Sparse(), 2, ScalingSpec(0.8, 0.6, 0.6), 2, 5)
         evaluate_trial(*args, total_units=20)
-        # per guess: the fit range's one segment, the validation range and the test range, a fit after each of
-        # the first two, and a validation and a test score
+        # per guess: one piece each of the fit, validation and test ranges, a fit after each of the first two,
+        # and a validation and a test score
         assert {name: len(calls) for name, calls in during.items()} == {"run": 6, "train_pseudo_inverse": 4, "mse": 4}
         assert all(set(counts) == {1} for calls in during.values() for counts in calls)
         assert set(openblas_threads()) == {2}
