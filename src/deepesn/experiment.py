@@ -174,7 +174,9 @@ def evaluate_trial(
     the validation range, and one on the full training range scored on the
     test range.  The training range extends the fit range, so both readouts
     come from one :class:`readout.NestedFit` that factorizes each training
-    row once.  The states are those of one run over the whole series, run
+    row once.  Its buffer has room for about half the fit range's rows, so
+    it factors itself down to its triangle once, halfway through the fit
+    range.  The states are those of one run over the whole series, run
     in pieces of at most 512 steps, each resumed from the last state of the
     one before and cut at the ends of the fit and training ranges.  Each
     piece of the training range is copied straight into the readout's
@@ -208,8 +210,10 @@ def evaluate_trial(
             )
             spec = ReservoirSpec(total_units=total_units, num_layers=num_layers, topology=topology, scaling=hyper, seed=seed)
             reservoir = build_reservoir(spec)
-            # the carried triangle plus the larger stage's rows: the fit range's first rows fill the triangle
-            fit = readout.NestedFit(total_units, 1, max(fit_end - washout - (total_units + 1), task.validation_len))
+            # the fit range's first rows fill the triangle's place and half the rest the room after it; the other
+            # half goes under the triangle the full buffer is factored down to.  The validation range fits whole
+            half_fit = -(-(fit_end - washout - (total_units + 1)) // 2)
+            fit = readout.NestedFit(total_units, 1, max(half_fit, task.validation_len))
             last = None  # each piece of the run resumes from a copy of the last row of the one before
             for start, stop in pieces:
                 if start in (fit_end, train_end):

@@ -4,7 +4,11 @@ A :class:`NestedFit` takes the rows of a least-squares problem stage by
 stage, straight into the column-major buffer that LAPACK's ``dgeqrf`` (the
 routine behind ``np.linalg.qr``, which would copy its input twice) factors
 in place, through numpy's ``lapack_lite`` binding and with the workspace
-``np.linalg.qr`` would query, so the triangle is the one it gives.
+``np.linalg.qr`` would query, so the triangle is the one it gives.  A
+buffer that fills up is factored down to that triangle before more rows go
+under it: the sequential TSQR of Demmel, Grigori, Hoemmen and Langou (SIAM
+J. Sci. Comput. 34, 2012), backward stable like one Householder QR of all
+the rows.
 """
 
 from __future__ import annotations
@@ -20,13 +24,18 @@ DEFAULT_RCOND = 1e-12
 class NestedFit:
     """Rows of ``width`` states and ``outputs`` targets, appended stage by stage, for nested readouts.
 
-    One column-major ``[states | targets]`` buffer holds the triangle carried from the last
-    :func:`train_pseudo_inverse` call (at most ``width + outputs`` rows), then up to ``rows`` new rows.
-    Before the first call there is no triangle, so the first stage may fill its place too.  This buffer is
-    most of a guess's memory: :func:`experiment.evaluate_trial` holds it and one piece of states.
+    One column-major ``[states | targets]`` buffer holds a triangle of at most ``width + outputs`` rows, then
+    room for at least ``rows`` more.  Before the first factorization there is no triangle, so the first rows
+    may fill its place too.  An append that finds the buffer full factors it down to its triangle, as
+    :func:`train_pseudo_inverse` does, and goes on copying under it, so a stage may hold more rows than the
+    buffer and still be factored once per row.  Where those factorizations fall depends only on the buffer's
+    size, not on how the rows are cut into appends.  This buffer is most of a guess's memory:
+    :func:`experiment.evaluate_trial` holds it and one piece of states.
     """
 
     def __init__(self, width: int, outputs: int, rows: int):
+        if rows < 1:  # a full buffer factored down to its triangle would have no room left
+            raise ValueError(f"rows must be at least 1, got {rows}")
         self.width = width
         columns = width + outputs
         self.lda = columns + rows
@@ -35,13 +44,13 @@ class NestedFit:
         work = np.empty(1)
         lapack_lite.dgeqrf(self.lda, columns, self.storage, self.lda, self.tau, work, -1, 0)  # workspace query
         self.work = np.empty(max(int(work[0]), columns))
-        self.rows = 0  # the carried triangle's rows plus those appended since
+        self.rows = 0  # the triangle's rows plus those appended since
 
     def append(self, states, targets) -> None:
-        """Copy rows of states, and their targets (1-D for one output), under the carried triangle.
+        """Copy rows of states, and their targets (1-D for one output), under the triangle.
 
-        Raises ``ValueError`` on wrong widths, mismatched row counts, non-finite entries (where
-        ``np.linalg.lstsq`` would return NaN) and more rows than the buffer holds.
+        Raises ``ValueError`` on wrong widths, mismatched row counts and non-finite entries (where
+        ``np.linalg.lstsq`` would return NaN), before copying any row, and ``LinAlgError`` if ``dgeqrf`` fails.
         """
         states = np.asarray(states, dtype=float)
         targets = _as_rows(targets, "targets")
@@ -53,13 +62,25 @@ class NestedFit:
             raise ValueError(f"row mismatch: {states.shape[0]} states vs {targets.shape[0]} targets")
         if not (np.all(np.isfinite(states)) and np.all(np.isfinite(targets))):
             raise ValueError("regression problem contains non-finite entries")
-        end = self.rows + states.shape[0]
-        if end > self.lda:
-            raise ValueError(f"{states.shape[0]} rows overflow the buffer: {self.lda - self.rows} left")
         block = self.storage.T
-        block[self.rows:end, :self.width] = states
-        block[self.rows:end, self.width:] = targets
-        self.rows = end
+        while states.shape[0]:
+            if self.rows == self.lda:
+                self._factor()
+            take = min(self.lda - self.rows, states.shape[0])
+            block[self.rows:self.rows + take, :self.width] = states[:take]
+            block[self.rows:self.rows + take, self.width:] = targets[:take]
+            self.rows += take
+            states, targets = states[take:], targets[take:]
+
+    def _factor(self) -> None:
+        """Factor the buffer's rows in place with ``dgeqrf`` and keep their triangle."""
+        columns = self.storage.shape[0]
+        if info := lapack_lite.dgeqrf(self.rows, columns, self.storage, self.lda, self.tau, self.work,
+                                      self.work.size, 0)["info"]:
+            raise LinAlgError(f"dgeqrf failed with info={info}")
+        triangle = self.rows = min(self.rows, columns)
+        for j in range(triangle - 1):  # clear the reflectors under the diagonal, leaving the triangle
+            self.storage[j, j + 1:triangle] = 0.0
 
 
 def train_pseudo_inverse(fit: NestedFit) -> np.ndarray:
@@ -70,23 +91,18 @@ def train_pseudo_inverse(fit: NestedFit) -> np.ndarray:
     It is solved on the triangle ``r`` of a QR factorization of the rows
     ``[states | targets]``: ``r`` has their singular values, and ``r[:, :width]
     @ w - r[:, width:]`` their residual norm for every ``w``.  The call
-    factors only the rows appended since the last call, under the triangle
-    that call left in their place, so every row is factorized once, however
-    many nested readouts hold it.
+    factors only the rows appended since the buffer was last factored, under
+    the triangle that factorization left in their place, so every row is
+    factorized once, however many nested readouts hold it.
 
     Raises ``ValueError`` on an empty problem, where ``np.linalg.lstsq``
     alone would return zeros, and ``LinAlgError`` if ``dgeqrf`` fails.
     """
     if fit.rows == 0:
         raise ValueError("regression problem is empty")
-    columns = fit.storage.shape[0]
-    if info := lapack_lite.dgeqrf(fit.rows, columns, fit.storage, fit.lda, fit.tau, fit.work, fit.work.size, 0)["info"]:
-        raise LinAlgError(f"dgeqrf failed with info={info}")
-    carried = fit.rows = min(fit.rows, columns)
-    for j in range(carried - 1):  # clear the reflectors under the diagonal, leaving the triangle
-        fit.storage[j, j + 1:carried] = 0.0
+    fit._factor()
     block = fit.storage.T
-    return np.linalg.lstsq(block[:carried, :fit.width], block[:carried, fit.width:], rcond=DEFAULT_RCOND)[0]
+    return np.linalg.lstsq(block[:fit.rows, :fit.width], block[:fit.rows, fit.width:], rcond=DEFAULT_RCOND)[0]
 
 
 def mse(predictions, targets) -> float:

@@ -222,13 +222,19 @@ def run(reservoir: DeepReservoir, inputs: Sequence, initial_state: Optional[np.n
     skewed[:max(steps - 1, 0), n] = u[1:]
     states = skewed[:, :n]
     prev = np.append(state0, u[0] if steps else 0.0)
-    for s in range(skewed.shape[0]):
-        row = states[s]
-        csr_matvec(n, n + 1, stack.indptr, stack.indices, stack.data, prev, row)  # row += stack @ prev
-        np.tanh(row, out=row)
-        if s < num_layers - 1:  # layers above s have not started yet
-            row[offsets[s + 1]:] = state0[offsets[s + 1]:]
-        prev = skewed[s]
+    indptr, indices, data, tanh = stack.indptr, stack.indices, stack.data, np.tanh  # bound once for the loops
+    rows = zip(states, skewed)
+    # the first num_layers - 1 steps: at step s the layers above s, from column offsets[s + 1] on, have not started
+    # yet.  zip runs out of offsets before it takes a row, so the second loop goes on from the next one
+    for waiting, (row, full) in zip(offsets[1:-1], rows):
+        csr_matvec(n, n + 1, indptr, indices, data, prev, row)  # row += stack @ prev
+        tanh(row, row)
+        row[waiting:] = state0[waiting:]
+        prev = full
+    for row, full in rows:  # the rest of the steps, every layer running
+        csr_matvec(n, n + 1, indptr, indices, data, prev, row)
+        tanh(row, row)
+        prev = full
     for l in range(1, num_layers):  # undo the skew: move each layer's block up by its lag
         dst, src = states[:steps, offsets[l]:offsets[l + 1]], states[l:l + steps, offsets[l]:offsets[l + 1]]
         for start in range(0, steps, 512):  # forward pieces read each row before it is overwritten, and numpy

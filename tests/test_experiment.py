@@ -223,11 +223,11 @@ class TestEvaluateTrial:
                              ids=["sparse-L2", "permutation-L1", "permutation-L5"])
     def test_one_leg_of_states_alive_at_a_time(self, topology, num_layers):
         # the leg alive is one piece: every range runs in 512-step pieces, so a guess holds its readout's factor
-        # buffer (1100 rows here) and one piece of states: the traced peak is buffer + 1.5-2.0 pieces (3.0-3.4 MB), run's un-skew temporary
-        # and the reservoir making up the rest.  Running the validation and test ranges whole peaked at
-        # buffer + 7.1-7.6 pieces (7.6-8.0 MB), on the test range's 4500 steps of states
+        # buffer (room for half the fit range's 2600 rows: 1501 rows here) and one piece of states: the traced peak
+        # is buffer + 1.5-2.0 pieces (3.5-3.9 MB), run's un-skew temporary and the reservoir making up the rest.
+        # A buffer with room for the whole fit range (2600 rows) peaked at new buffer + 3.9-4.4 pieces (5.4-5.8 MB)
         units = 200
-        task = generate_narma10(6000, seed=1, train_len=1500, washout=100, validation_len=300)
+        task = generate_narma10(6000, seed=1, train_len=3000, washout=100, validation_len=300)
         tracemalloc.start()
         try:
             evaluate_trial(task, topology, num_layers, ScalingSpec(0.9, 0.5, 0.8), 2, 7, total_units=units)
@@ -235,7 +235,7 @@ class TestEvaluateTrial:
         finally:
             tracemalloc.stop()
         fit_rows = task.train_len - task.validation_len - task.washout
-        buffer, piece = fit_rows * (units + 1) * 8, 512 * units * 8
+        buffer, piece = (units + 1 + math.ceil((fit_rows - (units + 1)) / 2)) * (units + 1) * 8, 512 * units * 8
         assert peak <= buffer + 2.5 * piece
 
     @staticmethod
@@ -246,7 +246,9 @@ class TestEvaluateTrial:
         expected = []
         for reservoir in reservoirs:
             states = run(reservoir, task.inputs)
-            fit = readout.NestedFit(reservoir.total_units, 1, max(fit_end - washout, task.validation_len))
+            # sized as evaluate_trial sizes it, so the buffer fills and is factored at the same rows
+            half_fit = -(-(fit_end - washout - (reservoir.total_units + 1)) // 2)
+            fit = readout.NestedFit(reservoir.total_units, 1, max(half_fit, task.validation_len))
             fit.append(states[washout:fit_end], targets[washout:fit_end])
             val_fit = readout.train_pseudo_inverse(fit)
             fit.append(states[fit_end:train_end], targets[fit_end:train_end])

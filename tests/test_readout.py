@@ -10,13 +10,16 @@ from hypothesis import strategies as st
 from deepesn import DEFAULT_RCOND, NestedFit, mse, train_pseudo_inverse
 
 
-def fit_prefixes(states, targets, row_ends=None):
-    """One readout per prefix end (default: all rows), each prefix's new rows appended, then fitted."""
+def fit_prefixes(states, targets, row_ends=None, room=None):
+    """One readout per prefix end (default: all rows), each prefix's new rows appended, then fitted.
+
+    The buffer has ``room`` rows past the triangle's (default: the longest stage's).
+    """
     states = np.asarray(states, dtype=float)
     targets = np.asarray(targets, dtype=float).reshape(len(states), -1)
     ends = [len(states)] if row_ends is None else list(row_ends)
     starts = [0] + ends[:-1]
-    fit = NestedFit(states.shape[1], targets.shape[1], max(b - a for a, b in zip(starts, ends)))
+    fit = NestedFit(states.shape[1], targets.shape[1], room or max(b - a for a, b in zip(starts, ends)))
     fits = []
     for start, end in zip(starts, ends):
         fit.append(states[start:end], targets[start:end])
@@ -93,19 +96,28 @@ class TestTrainPseudoInverse:
                                 (np.ones((4, 3)), np.zeros((4, 2)))):  # wrong widths
             with pytest.raises(ValueError, match="must hold 3 states and 1 targets"):
                 fit.append(states, targets)
-        with pytest.raises(ValueError, match="overflow"):  # 4 rows of room under a triangle of 4
-            fit.append(np.ones((9, 3)), np.zeros(9))
         assert fit.rows == 0  # a rejected append copies nothing
-        fit.append(np.ones((4, 3)), np.zeros(4))
-        train_pseudo_inverse(fit)  # carries a triangle of 4 rows, so 4 more rows fill the buffer
-        fit.append(np.ones((4, 3)), np.zeros(4))
-        with pytest.raises(ValueError, match="overflow"):
-            fit.append(np.ones((1, 3)), np.zeros(1))
+        for rows in (0, -1):  # a buffer factored down to its triangle would have no room left
+            with pytest.raises(ValueError, match=f"^rows must be at least 1, got {rows}$"):
+                NestedFit(3, 1, rows)
+        # 4 rows of room after a triangle's 4: 9 rows, or 5 after a fit, fill the buffer, which factors itself
+        # down to its triangle and takes the last row under it
+        rng = np.random.default_rng(1)
+        states, targets = rng.standard_normal((14, 3)), rng.standard_normal(14)
+        for start, end in ((0, 9), (9, 14)):
+            fit.append(states[start:end], targets[start:end])
+            assert fit.rows == 5
+            w = train_pseudo_inverse(fit)
+            assert fit.rows == 4
+            assert np.allclose(w, np.linalg.lstsq(states[:end], targets[:end, None], rcond=DEFAULT_RCOND)[0])
 
 
 @st.composite
 def nested_problems(draw):
-    """Tall, wide and column-rank-deficient problems with 1-3 nested prefixes."""
+    """Tall, wide and column-rank-deficient problems with 1-3 nested prefixes, in buffers with 1-30 rows of room.
+
+    A buffer with less room than a stage factors itself down to its triangle, once or many times, within it.
+    """
     rows = draw(st.integers(1, 30))
     base = draw(st.integers(1, 10))
     duplicated = draw(st.integers(0, min(base, 3)))  # copies of leading columns: rank-deficient when rows > base
@@ -115,7 +127,7 @@ def nested_problems(draw):
     columns = rng.standard_normal((rows, base))
     states = np.hstack([columns, columns[:, :duplicated]])
     targets = rng.standard_normal(rows if outputs is None else (rows, outputs))
-    return states, targets, row_ends
+    return states, targets, row_ends, draw(st.integers(1, rows))
 
 
 class TestNestedPrefixes:
@@ -124,10 +136,12 @@ class TestNestedPrefixes:
     @settings(max_examples=200, deadline=None)
     @given(nested_problems())
     # the first prefix is one row of three columns, so the carried triangle is trapezoidal
-    @example((np.array([[0.5, 0.5], [-1.5, -1.5]]), np.array([1.0, 2.0]), [1, 2]))
+    @example((np.array([[0.5, 0.5], [-1.5, -1.5]]), np.array([1.0, 2.0]), [1, 2], 1))
+    # one row of room after a triangle of two: the second stage's rows are factored in one at a time
+    @example((np.arange(12.0).reshape(12, 1) % 5, np.arange(12.0) % 3, [3, 12], 1))
     def test_each_prefix_matches_lstsq(self, problem):
-        states, targets, row_ends = problem
-        fits = fit_prefixes(states, targets, row_ends)
+        states, targets, row_ends, room = problem
+        fits = fit_prefixes(states, targets, row_ends, room)
         assert len(fits) == len(row_ends)
         targets = targets.reshape(len(targets), -1)
         for end, w in zip(row_ends, fits):
@@ -146,11 +160,11 @@ class TestNestedPrefixes:
 @settings(max_examples=50, deadline=None)
 @given(nested_problems(), st.data())
 def test_a_stage_appended_in_pieces_fits_the_same_bits(problem, data):
-    # the rows land in the same places of the buffer, so the factorization cannot tell the pieces apart
-    states, targets, row_ends = problem
-    whole = fit_prefixes(states, targets, row_ends)
-    stage = max(b - a for a, b in zip([0] + row_ends[:-1], row_ends))
-    fit = NestedFit(states.shape[1], np.reshape(targets, (len(states), -1)).shape[1], stage)
+    # the rows land in the same places of the buffer, and a full buffer is factored wherever the cuts fall, so the
+    # factorization cannot tell the pieces apart
+    states, targets, row_ends, room = problem
+    whole = fit_prefixes(states, targets, row_ends, room)
+    fit = NestedFit(states.shape[1], np.reshape(targets, (len(states), -1)).shape[1], room)
     start = 0
     for end, expected in zip(row_ends, whole):
         cuts = sorted(data.draw(st.sets(st.integers(start, end), max_size=3)))
