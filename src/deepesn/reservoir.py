@@ -106,24 +106,40 @@ class ReservoirSpec:
 
 @dataclass(frozen=True)
 class LayerWeights:
-    """Recurrent matrix of one layer and its inbound matrix: the input matrix for layer 1, else the inter-layer one."""
+    """Recurrent matrix of one layer and its inbound matrix: the input matrix for layer 1, else the inter-layer one.
 
-    recurrent: np.ndarray
-    inbound: np.ndarray
+    Each is held as a float CSR copy with read-only arrays.  Raises ``ValueError``, naming the matrix, on one
+    that is not 2-D or has a non-finite entry.
+    """
+
+    recurrent: scipy.sparse.csr_array
+    inbound: scipy.sparse.csr_array
+
+    def __post_init__(self):
+        for label in ("recurrent", "inbound"):
+            block = getattr(self, label)
+            if np.ndim(block) != 2:
+                raise ValueError(f"the {label} matrix must be 2-D, got shape {np.shape(block)}")
+            block = scipy.sparse.csr_array(block, dtype=float, copy=True)  # the caller's arrays stay writable
+            if not np.all(np.isfinite(block.data)):
+                raise ValueError(f"the {label} matrix must have finite entries")
+            for array in (block.data, block.indices, block.indptr):
+                array.setflags(write=False)
+            object.__setattr__(self, label, block)
 
 
 @dataclass(frozen=True)
 class DeepReservoir:
     """Immutable bundle of all untrained weights of a deep reservoir, one :class:`LayerWeights` per layer.
 
-    The layer sizes are read off the recurrent matrices' row counts, and
-    :attr:`stack` checks once that all the weights fit them.
+    Each weight is held once, in a layer's read-only CSR blocks.  The layer sizes are read off the
+    recurrent blocks' row counts, and :attr:`stack` checks once that all the blocks fit them.
     """
 
     layers: tuple[LayerWeights, ...]
 
     @property
-    def input_weights(self) -> np.ndarray:
+    def input_weights(self) -> scipy.sparse.csr_array:
         """The ``(n_1, 1)`` input matrix, which is layer 1's inbound matrix."""
         return self.layers[0].inbound
 
@@ -143,15 +159,14 @@ class DeepReservoir:
     def stack(self) -> scipy.sparse.csr_array:
         """The CSR weights :func:`run` multiplies by, assembled on first use: ``(total_units, total_units + 1)``.
 
-        Each layer's recurrent matrix sits on the diagonal and its inbound matrix in the block column to the
+        Each layer's recurrent block sits on the diagonal and its inbound block in the block column to the
         left, which for layer 1 wraps round to the last column, the input's.  Raises ``ValueError`` unless
         the weights fit the layers.
         """
         num_layers = self.num_layers
         blocks = [[None] * (num_layers + 1) for _ in range(num_layers)]
         for l, lw in enumerate(self.layers):
-            blocks[l][l] = scipy.sparse.csr_array(lw.recurrent)
-            blocks[l][l - 1] = scipy.sparse.csr_array(lw.inbound)
+            blocks[l][l], blocks[l][l - 1] = lw.recurrent, lw.inbound
         stack = scipy.sparse.block_array(blocks, format="csr")
         n = self.total_units
         if stack.shape != (n, n + 1):  # run's kernel trusts this shape
@@ -164,7 +179,8 @@ def build_reservoir(spec: ReservoirSpec) -> DeepReservoir:
 
     Each matrix is drawn from its own random substream keyed on
     ``(spec.seed, role, layer index)``, so the result is bit-identical for
-    equal specs and does not depend on construction order.
+    equal specs and does not depend on construction order.  The draws are dense, so that their scalings
+    are measured exactly; :class:`LayerWeights` holds them as CSR, so no dense matrix outlives the build.
     """
     sizes = layer_sizes(spec.total_units, spec.num_layers)
     layers = []
@@ -175,8 +191,6 @@ def build_reservoir(spec: ReservoirSpec) -> DeepReservoir:
         else:
             inbound = make_interlayer_matrix(n, sizes[index - 1], INTERLAYER_FAN_IN, spec.scaling.omega_il,
                                              random_stream(spec.seed, _STREAM_INBOUND, index))
-        recurrent.setflags(write=False)
-        inbound.setflags(write=False)
         layers.append(LayerWeights(recurrent=recurrent, inbound=inbound))
     return DeepReservoir(layers=tuple(layers))
 

@@ -104,29 +104,29 @@ class TestBuildReservoir:
 
     def test_scaling_applied(self):
         res = build_reservoir(small_spec(num_layers=2))
-        assert np.linalg.norm(res.input_weights) == pytest.approx(SCALING.omega_in, abs=1e-8)
+        assert np.linalg.norm(res.input_weights.toarray()) == pytest.approx(SCALING.omega_in, abs=1e-8)
         for lw in res.layers:
-            radius = np.max(np.abs(np.linalg.eigvals(lw.recurrent)))
+            radius = np.max(np.abs(np.linalg.eigvals(lw.recurrent.toarray())))
             assert radius == pytest.approx(SCALING.rho, abs=1e-8)
-        top = np.linalg.svd(res.layers[1].inbound, compute_uv=False)[0]
+        top = np.linalg.svd(res.layers[1].inbound.toarray(), compute_uv=False)[0]
         assert top == pytest.approx(SCALING.omega_il, abs=1e-8)
 
     def test_topology_dispatch(self):
-        ring = build_reservoir(small_spec(topology=Ring())).layers[0].recurrent
+        ring = build_reservoir(small_spec(topology=Ring())).layers[0].recurrent.toarray()
         assert np.count_nonzero(ring) == 8
         assert ring[0, 7] == SCALING.rho
-        chain = build_reservoir(small_spec(topology=Chain())).layers[1].recurrent
+        chain = build_reservoir(small_spec(topology=Chain())).layers[1].recurrent.toarray()
         assert np.array_equal(np.linalg.matrix_power(chain, 8), np.zeros((8, 8)))
-        perm = build_reservoir(small_spec(topology=Permutation())).layers[2].recurrent
+        perm = build_reservoir(small_spec(topology=Permutation())).layers[2].recurrent.toarray()
         assert np.allclose(perm.T @ perm, SCALING.rho ** 2 * np.eye(8), atol=1e-14)
 
     def test_determinism_bit_identical(self):
         a = build_reservoir(small_spec())
         b = build_reservoir(small_spec())
-        assert np.array_equal(a.input_weights, b.input_weights)
+        assert np.array_equal(a.input_weights.toarray(), b.input_weights.toarray())
         for la, lb in zip(a.layers, b.layers):
-            assert np.array_equal(la.recurrent, lb.recurrent)
-            assert np.array_equal(la.inbound, lb.inbound)
+            assert np.array_equal(la.recurrent.toarray(), lb.recurrent.toarray())
+            assert np.array_equal(la.inbound.toarray(), lb.inbound.toarray())
 
     @pytest.mark.parametrize("kind", WEIGHT_DIGESTS)
     def test_drawn_weights_are_pinned(self, kind):
@@ -134,21 +134,51 @@ class TestBuildReservoir:
         # builder consumes it in changes these digests, and with them every published number
         res = build_reservoir(ReservoirSpec(total_units=24, num_layers=3, topology=parse_topology(kind),
                                             scaling=ScalingSpec(0.9, 0.8, 1.1), seed=5))
-        h = hashlib.sha256(res.input_weights.astype(np.float64).tobytes())
+        h = hashlib.sha256(res.input_weights.toarray().tobytes())
         for index, lw in enumerate(res.layers):  # each layer's recurrent matrix, then its inter-layer one
-            h.update(lw.recurrent.astype(np.float64).tobytes())
+            h.update(lw.recurrent.toarray().tobytes())
             if index > 0:
-                h.update(lw.inbound.astype(np.float64).tobytes())
+                h.update(lw.inbound.toarray().tobytes())
         assert h.hexdigest() == WEIGHT_DIGESTS[kind]
 
     def test_layers_draw_independent_streams(self):
         res = build_reservoir(small_spec(topology=Permutation()))
-        assert not np.array_equal(res.layers[0].recurrent, res.layers[1].recurrent)
+        assert not np.array_equal(res.layers[0].recurrent.toarray(), res.layers[1].recurrent.toarray())
 
     def test_matrices_are_read_only(self):
         res = build_reservoir(small_spec())
         with pytest.raises(ValueError):
             res.input_weights[0, 0] = 1.0
+        for block in (res.layers[1].recurrent, res.layers[1].inbound):
+            for array in (block.data, block.indices, block.indptr):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = array[0]
+        # a hand-built layer holds copies, so the caller's own arrays stay writable
+        mine = scipy.sparse.csr_array(np.array([[0.5]]))
+        LayerWeights(mine, mine)
+        mine.data[0] = 0.25
+
+    def test_paper_size_sparse_layer_holds_only_csr_blocks(self):
+        # the 500x500 recurrent matrix is drawn dense (2 MB) to measure its spectral radius; none of that
+        # outlives the build, and the stack is the one assembled from CSR copies of the dense draws
+        spec = ReservoirSpec(total_units=500, num_layers=1, topology=Sparse(), scaling=SCALING, seed=5)
+        build_reservoir(spec)  # imports and caches outside the measurement
+        tracemalloc.start()
+        try:
+            res = build_reservoir(spec)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 100_000
+        blocks = [res.layers[0].recurrent, res.layers[0].inbound]
+        for block in blocks:
+            assert type(block) is scipy.sparse.csr_array
+            assert not any(array.flags.writeable for array in (block.data, block.indices, block.indptr))
+        dense_path = scipy.sparse.block_array([[scipy.sparse.csr_array(block.toarray()) for block in blocks]],
+                                              format="csr")
+        for name in ("indptr", "indices", "data"):
+            ours, theirs = getattr(res.stack, name), getattr(dense_path, name)
+            assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -181,9 +211,9 @@ class TestBuildReservoir:
         res = build_reservoir(small_spec(**layout, seed=seed))
         for index, lw in enumerate(res.layers):
             if kind == "sparse":
-                assert (np.count_nonzero(lw.recurrent, axis=1) == Sparse.fan_in).all()
+                assert (np.count_nonzero(lw.recurrent.toarray(), axis=1) == Sparse.fan_in).all()
             if index > 0:
-                assert (np.count_nonzero(lw.inbound, axis=1) == INTERLAYER_FAN_IN).all()
+                assert (np.count_nonzero(lw.inbound.toarray(), axis=1) == INTERLAYER_FAN_IN).all()
 
 
 def manual_two_layer():
@@ -260,6 +290,16 @@ class TestRun:
         one = np.array([[1.0]])
         with pytest.raises(TypeError):
             LayerWeights(one)
+        # a block that is not 2-D, or holds a non-finite entry, is refused before it can reach a run
+        with pytest.raises(ValueError, match=r"^the inbound matrix must be 2-D, got shape \(1,\)$"):
+            LayerWeights(one, np.ones(1))
+        with pytest.raises(ValueError, match=r"^the recurrent matrix must be 2-D, got shape \(1, 1, 1\)$"):
+            LayerWeights(np.ones((1, 1, 1)), one)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="^the inbound matrix must have finite entries$"):
+                LayerWeights(np.array([[0.5]]), np.array([[bad]]))
+            with pytest.raises(ValueError, match="^the recurrent matrix must have finite entries$"):
+                LayerWeights(scipy.sparse.csr_array(np.array([[bad]])), one)
         two_inputs = DeepReservoir(layers=(LayerWeights(one, np.ones((1, 2))),))
         with pytest.raises(ValueError, match=r"^weights of shape \(1, 3\) do not fit layers of \(1,\) units$"):
             two_inputs.stack
